@@ -152,6 +152,24 @@ func BenchmarkOptimize(b *testing.B) {
 	}
 }
 
+// BenchmarkCompile measures compiling the optimal GDI plan into its round
+// program (CompileProgram) — the cost a plan-cache entry pays once and a
+// session bound to it no longer pays at all.
+func BenchmarkCompile(b *testing.B) {
+	net, inst := evalSetup(b, 0.2)
+	p, err := Optimize(inst)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := CompileProgram(net, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkOptimize1k measures full optimization on a 1000-node uniform
 // random topology with 20 destinations × 20 sources — the smallest of the
 // plan-scale trajectory sizes (see BENCH_plan_scale.json), kept as a

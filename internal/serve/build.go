@@ -5,10 +5,11 @@ import (
 )
 
 // newSimulator wires the per-session parts (readings, faults, battery)
-// around a cached plan entry. Everything session-private is freshly
-// constructed; everything shared (network, instance, plan) is adopted
-// copy-on-write by the ResilientSession.
-func newSimulator(entry *planEntry, req *CreateSessionRequest) (*m2m.ResilientSession, error) {
+// around a plan entry and its compiled program. Everything
+// session-private is freshly constructed; everything shared (network,
+// instance, plan, program) is adopted by reference — the plan
+// copy-on-write, the program read-only.
+func newSimulator(entry *planEntry, prog *m2m.Program, req *CreateSessionRequest) (*m2m.ResilientSession, error) {
 	n := entry.net.Len()
 	gen := req.Readings.build(n)
 	faults, err := req.Faults.build()
@@ -24,19 +25,23 @@ func newSimulator(entry *planEntry, req *CreateSessionRequest) (*m2m.ResilientSe
 		rcfg.Battery = bat
 		rcfg.EvacuateHorizonRounds = req.Battery.EvacHorizonRounds
 	}
-	return m2m.NewResilientSessionWithPlan(
-		entry.net, entry.sessionSpecs(), entry.kind, entry.inst, entry.plan,
+	return m2m.NewResilientSessionWithProgram(
+		entry.net, entry.sessionSpecs(), entry.kind, entry.inst, prog,
 		gen, faults, rcfg)
 }
 
 // BuildSession materializes a validated create request into a standalone
-// ResilientSession, paying for its own optimization — no cache, no
-// server. The load harness uses it to replay a served session locally and
-// compare value hashes round for round.
+// ResilientSession, paying for its own optimization and compile — no
+// cache, no server. The load harness uses it to replay a served session
+// locally and compare value hashes round for round.
 func BuildSession(req *CreateSessionRequest) (*m2m.ResilientSession, error) {
 	entry, err := buildEntry(&req.Topology, &req.Workload, req.Router)
 	if err != nil {
 		return nil, err
 	}
-	return newSimulator(entry, req)
+	prog, err := m2m.CompileProgram(entry.net, entry.plan)
+	if err != nil {
+		return nil, err
+	}
+	return newSimulator(entry, prog, req)
 }

@@ -26,6 +26,12 @@ type SessionCheckpoint struct {
 type Checkpoint struct {
 	Version  int                 `json:"version"`
 	Sessions []SessionCheckpoint `json:"sessions"`
+	// NextID is the highest session id number the server had issued.
+	// Restore never issues an id at or below it again, so ids of
+	// sessions destroyed before the checkpoint keep answering 410 and
+	// cannot be handed to a new tenant. Optional: checkpoints written
+	// without it restore as before.
+	NextID uint64 `json:"nextId,omitempty"`
 }
 
 // Checkpoint writes every live, healthy session to w. Poisoned sessions
@@ -46,6 +52,9 @@ func (s *Server) Checkpoint(w io.Writer) error {
 		}
 		sess.mu.Unlock()
 	}
+	// Read after the snapshot: every id issued before this point — listed
+	// above or not — is at or below it.
+	cp.NextID = s.reg.issuedIDs()
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(cp)
@@ -65,6 +74,10 @@ func (s *Server) Restore(ctx context.Context, r io.Reader) (int, error) {
 	if cp.Version != checkpointVersion {
 		return 0, fmt.Errorf("serve: checkpoint version %d, want %d", cp.Version, checkpointVersion)
 	}
+	// Restored ids raise the counter themselves (addWithID); this covers
+	// the ids above them that were issued and destroyed before the
+	// checkpoint.
+	s.reg.raiseNextID(cp.NextID)
 	restored := 0
 	for _, sc := range cp.Sessions {
 		req, err := DecodeCreateSession(sc.Create)

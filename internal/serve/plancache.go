@@ -7,18 +7,27 @@ import (
 	"m2m"
 )
 
-// planEntry is one compiled-and-optimized program shared by every session
-// whose (topology, workload, router) triple hashes to the same key. All
-// fields are treated as immutable after construction: sessions adopt the
-// plan copy-on-write (replans clone shared edge solutions before
-// mutating), never touch the instance, and never mutate the network's
-// graph in place — topology surgery always rebuilds into fresh structures.
+// planEntry is one optimized plan shared by every session whose
+// (topology, workload, router) triple hashes to the same key. All fields
+// are treated as immutable after construction: sessions adopt the plan
+// copy-on-write (replans clone shared edge solutions before mutating),
+// never touch the instance, and never mutate the network's graph in place
+// — topology surgery always rebuilds into fresh structures.
+//
+// The plan's compiled round program is built lazily, once, by the first
+// session create (planCache.program) and then shared by every later
+// session of the key. Sweeps never fill it: the cache never evicts, so a
+// program held for every swept topology would be memory kept for nothing.
 type planEntry struct {
 	net   *m2m.Network
 	specs []m2m.Spec
 	kind  m2m.RouterKind
 	inst  *m2m.Instance
 	plan  *m2m.Plan
+
+	progOnce sync.Once
+	prog     *m2m.Program
+	progErr  error
 }
 
 // sessionSpecs returns a fresh top-level spec slice for one session.
@@ -49,9 +58,10 @@ type planCache struct {
 	calls   map[string]*planCall
 
 	// Counters exported via /v1/stats.
-	hits   atomic.Int64
-	misses atomic.Int64
-	dedups atomic.Int64
+	hits     atomic.Int64
+	misses   atomic.Int64
+	dedups   atomic.Int64
+	programs atomic.Int64 // round programs compiled for cached entries
 }
 
 func newPlanCache() *planCache {
@@ -92,6 +102,18 @@ func (c *planCache) get(key string, build func() (*planEntry, error)) (*planEntr
 	c.mu.Unlock()
 	close(call.done)
 	return call.entry, call.err
+}
+
+// program returns the entry's shared round program, compiling it on the
+// first call. Concurrent first calls wait for the one compile.
+func (c *planCache) program(e *planEntry) (*m2m.Program, error) {
+	e.progOnce.Do(func() {
+		e.prog, e.progErr = m2m.CompileProgram(e.net, e.plan)
+		if e.progErr == nil {
+			c.programs.Add(1)
+		}
+	})
+	return e.prog, e.progErr
 }
 
 // size reports the number of cached plans.

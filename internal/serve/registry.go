@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -163,31 +165,60 @@ func (s *session) step(ctx context.Context, rounds int, includeValues bool, each
 }
 
 // registry owns every live session: id allocation, lookup, idle eviction.
+//
+// Ids are issued in sequence and never reused, so no tombstones are kept:
+// a canonical id numbered 1..nextID that is not live was issued and then
+// destroyed or evicted (the honest 410), and anything else never existed
+// (404). The rule costs no memory and never forgets an id.
 type registry struct {
 	mu       sync.Mutex
 	sessions map[string]*session
-	// gone tombstones destroyed/evicted ids so a later request gets the
-	// honest 410 (it existed, it's gone) instead of 404. Ids are tiny;
-	// the map is dropped wholesale if it ever grows absurd.
-	gone   map[string]struct{}
-	nextID uint64
+	nextID   uint64 // the highest id number issued (or restored) so far
 }
-
-const maxTombstones = 1 << 16
 
 func newRegistry() *registry {
-	return &registry{
-		sessions: make(map[string]*session),
-		gone:     make(map[string]struct{}),
+	return &registry{sessions: make(map[string]*session)}
+}
+
+// sessionID formats id number n in its canonical form.
+func sessionID(n uint64) string { return fmt.Sprintf("s-%08x", n) }
+
+// parseSessionID returns the number of a canonical session id; ok is
+// false for anything sessionID could not have produced.
+func parseSessionID(id string) (n uint64, ok bool) {
+	if !strings.HasPrefix(id, "s-") {
+		return 0, false
+	}
+	n, err := strconv.ParseUint(id[2:], 16, 64)
+	if err != nil || sessionID(n) != id {
+		return 0, false
+	}
+	return n, true
+}
+
+// missing classifies an id that is not live. Must be called with r.mu
+// held.
+func (r *registry) missing(id string) error {
+	if n, ok := parseSessionID(id); ok && n >= 1 && n <= r.nextID {
+		return errSessionGone
+	}
+	return errSessionMissing
+}
+
+// raiseNextID makes sure no id numbered n or lower is issued again.
+func (r *registry) raiseNextID(n uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if n > r.nextID {
+		r.nextID = n
 	}
 }
 
-// markGone must be called with r.mu held.
-func (r *registry) markGone(id string) {
-	if len(r.gone) >= maxTombstones {
-		r.gone = make(map[string]struct{})
-	}
-	r.gone[id] = struct{}{}
+// issuedIDs returns the highest id number issued so far.
+func (r *registry) issuedIDs() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.nextID
 }
 
 func (r *registry) add(tenant string, createRaw []byte, sim stepper) *session {
@@ -195,7 +226,7 @@ func (r *registry) add(tenant string, createRaw []byte, sim stepper) *session {
 	defer r.mu.Unlock()
 	r.nextID++
 	s := &session{
-		id:        fmt.Sprintf("s-%08x", r.nextID),
+		id:        sessionID(r.nextID),
 		tenant:    tenant,
 		createRaw: createRaw,
 		sim:       sim,
@@ -212,8 +243,8 @@ func (r *registry) addWithID(id, tenant string, createRaw []byte, sim stepper) (
 	if _, exists := r.sessions[id]; exists {
 		return nil, fmt.Errorf("serve: session id %q already live", id)
 	}
-	var n uint64
-	if _, err := fmt.Sscanf(id, "s-%x", &n); err != nil || fmt.Sprintf("s-%08x", n) != id {
+	n, ok := parseSessionID(id)
+	if !ok || n == 0 {
 		return nil, fmt.Errorf("serve: malformed session id %q", id)
 	}
 	if n > r.nextID {
@@ -230,32 +261,21 @@ func (r *registry) get(id string) (*session, error) {
 	if s, ok := r.sessions[id]; ok {
 		return s, nil
 	}
-	if _, was := r.gone[id]; was {
-		return nil, errSessionGone
-	}
-	return nil, errSessionMissing
+	return nil, r.missing(id)
 }
 
-// destroy removes the session and marks it gone, so a step racing with
-// the destroy fails cleanly rather than driving a freed simulator.
+// destroy removes the session and marks it destroyed, so a step racing
+// with the destroy fails cleanly rather than driving a freed simulator.
 func (r *registry) destroy(id string) error {
 	r.mu.Lock()
 	s, ok := r.sessions[id]
-	if ok {
-		delete(r.sessions, id)
-		r.markGone(id)
-	}
-	wasGone := false
 	if !ok {
-		_, wasGone = r.gone[id]
+		err := r.missing(id)
+		r.mu.Unlock()
+		return err
 	}
+	delete(r.sessions, id)
 	r.mu.Unlock()
-	if !ok {
-		if wasGone {
-			return errSessionGone
-		}
-		return errSessionMissing
-	}
 	s.mu.Lock()
 	s.destroyed = true
 	s.mu.Unlock()
@@ -294,7 +314,6 @@ func (r *registry) evictIdle(maxIdle time.Duration, now time.Time) int {
 		if idle {
 			r.mu.Lock()
 			delete(r.sessions, s.id)
-			r.markGone(s.id)
 			r.mu.Unlock()
 			evicted++
 		}

@@ -356,7 +356,10 @@ type StatsResponse struct {
 	PlanCacheHits   int64 `json:"planCacheHits"`
 	PlanCacheMisses int64 `json:"planCacheMisses"`
 	PlanCacheDedups int64 `json:"planCacheDedups"`
-	Draining        bool  `json:"draining"`
+	// PlanPrograms counts the round programs compiled for cached plans:
+	// at most one per plan, built by its first session create.
+	PlanPrograms int64 `json:"planPrograms"`
+	Draining     bool  `json:"draining"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -375,6 +378,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		PlanCacheHits:   s.cache.hits.Load(),
 		PlanCacheMisses: s.cache.misses.Load(),
 		PlanCacheDedups: s.cache.dedups.Load(),
+		PlanPrograms:    s.cache.programs.Load(),
 		Draining:        s.draining.Load(),
 	})
 }
@@ -428,7 +432,8 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 // buildSession resolves a validated create request into a live simulator,
-// going through the plan cache for the expensive shared parts.
+// going through the plan cache for the expensive shared parts: the
+// optimized plan and its compiled round program.
 func (s *Server) buildSession(req *CreateSessionRequest) (stepper, *planEntry, bool, error) {
 	key, err := req.PlanKey()
 	if err != nil {
@@ -441,7 +446,11 @@ func (s *Server) buildSession(req *CreateSessionRequest) (stepper, *planEntry, b
 	if err != nil {
 		return nil, nil, false, err
 	}
-	sim, err := newSimulator(entry, req)
+	prog, err := s.cache.program(entry)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	sim, err := newSimulator(entry, prog, req)
 	if err != nil {
 		return nil, nil, false, err
 	}

@@ -170,20 +170,27 @@ func TestServedMatchesLocalRun(t *testing.T) {
 	}
 }
 
-// TestPlanCacheSingleflight: a thundering herd of identical triples pays
-// for exactly one optimization.
+// TestPlanCacheSingleflight: a thundering herd of 1000 identical triples
+// pays for exactly one optimization and one compile — every session binds
+// to the cached entry's single round program.
 func TestPlanCacheSingleflight(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	const herd = 8
+	s, err := NewServer(Config{MaxInflight: 1000, PerTenantInflight: 1000, QueueDepth: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	const herd = 1000
 	var wg sync.WaitGroup
 	errs := make([]error, herd)
 	for i := 0; i < herd; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			status, data, _ := doReq(t, "POST", ts.URL+"/v1/sessions", createBody(int64(i)), nil)
-			if status != http.StatusCreated {
-				errs[i] = fmt.Errorf("status %d: %s", status, data)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sessions", bytes.NewReader(createBody(int64(i)))))
+			if rec.Code != http.StatusCreated {
+				errs[i] = fmt.Errorf("status %d: %s", rec.Code, rec.Body)
 			}
 		}(i)
 	}
@@ -196,12 +203,24 @@ func TestPlanCacheSingleflight(t *testing.T) {
 	if got := s.cache.misses.Load(); got != 1 {
 		t.Fatalf("%d optimizations for %d identical tenants, want 1", got, herd)
 	}
+	if got := s.cache.programs.Load(); got != 1 {
+		t.Fatalf("%d compiles for %d identical tenants, want 1", got, herd)
+	}
 	if got := s.reg.len(); got != herd {
 		t.Fatalf("%d live sessions, want %d", got, herd)
 	}
 	if s.cache.hits.Load()+s.cache.dedups.Load() != herd-1 {
 		t.Fatalf("hits %d + dedups %d don't cover the other %d creates",
 			s.cache.hits.Load(), s.cache.dedups.Load(), herd-1)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/stats", nil))
+	var st StatsResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatalf("stats: %v", err)
+	}
+	if st.PlanPrograms != 1 || st.PlanCacheMisses != 1 {
+		t.Fatalf("stats report %d programs and %d misses, want 1 and 1", st.PlanPrograms, st.PlanCacheMisses)
 	}
 }
 
@@ -491,7 +510,7 @@ func sweepBody() []byte {
 }
 
 func TestSweep(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 	status, data, _ := doReq(t, "POST", ts.URL+"/v1/sweep", sweepBody(), nil)
 	if status != http.StatusOK {
 		t.Fatalf("sweep: status %d: %s", status, data)
@@ -517,6 +536,18 @@ func TestSweep(t *testing.T) {
 	_, data2, _ := doReq(t, "POST", ts.URL+"/v1/sweep", sweepBody(), nil)
 	if !bytes.Equal(data, data2) {
 		t.Fatalf("sweep is not deterministic:\n%s\nvs\n%s", data, data2)
+	}
+	// A sweep-only plan retains no program: sweeps compile their own and
+	// drop it with the request, since the cache never evicts.
+	if got := s.cache.programs.Load(); got != 0 {
+		t.Fatalf("sweeps compiled %d programs into the cache, want 0", got)
+	}
+	s.cache.mu.Lock()
+	defer s.cache.mu.Unlock()
+	for key, e := range s.cache.entries {
+		if e.prog != nil {
+			t.Fatalf("sweep-only entry %s retains a program", key)
+		}
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"m2m"
 	"m2m/internal/graph"
 	"m2m/internal/readings"
-	"m2m/internal/sim"
 )
 
 // SweepSeedResult is one (seed, variant) cell of a sweep: the run's total
@@ -39,9 +38,10 @@ type SweepResponse struct {
 // handleSweep is POST /v1/sweep: a seed range crossed with chaos/battery
 // variants, every arm sharing one cached plan. Each seed drives the
 // random-walk reading generator (and, in chaos arms, the fault injector),
-// so the whole sweep is reproducible from the request alone. Fault-free
-// single-round arms fan all seeds through one engine's RunConcurrent;
-// stateful arms run per-seed resilient sessions on a bounded worker pool.
+// so the whole sweep is reproducible from the request alone. Every arm
+// runs off one compiled program: fault-free single-round arms fan all
+// seeds through one engine's RunConcurrent; stateful arms run per-seed
+// resilient sessions bound to the program on a bounded worker pool.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("serve: draining, not accepting sweeps"))
@@ -77,15 +77,24 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// One request-local program serves every variant and seed. It is
+	// deliberately not stored in the entry: the cache never evicts, and
+	// sweeps mostly touch plans no session will ever use.
+	prog, err := m2m.CompileProgram(entry.net, entry.plan)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+
 	ctx := r.Context()
 	resp := SweepResponse{Nodes: entry.net.Len()}
 	for i := range req.Variants {
 		v := &req.Variants[i]
 		var results []SweepSeedResult
 		if v.batched() {
-			results, err = s.sweepBatched(ctx, entry, req, v)
+			results, err = s.sweepBatched(ctx, entry, prog, req)
 		} else {
-			results, err = s.sweepSessions(ctx, entry, req, v)
+			results, err = s.sweepSessions(ctx, entry, prog, req, v)
 		}
 		if err != nil {
 			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
@@ -113,14 +122,11 @@ func sweepSeedReadings(n int, seed int64) m2m.ReadingGenerator {
 	return readings.NewRandomWalk(n, seed, 20, 0.5)
 }
 
-// sweepBatched fans every seed's round through one shared engine —
-// RunConcurrent reuses pooled round state across the whole batch and
-// honors ctx between rounds.
-func (s *Server) sweepBatched(ctx context.Context, entry *planEntry, req *SweepRequest, _ *SweepVariant) ([]SweepSeedResult, error) {
-	eng, err := sim.NewEngine(entry.plan, entry.net.Radio, sim.Options{MergeMessages: true})
-	if err != nil {
-		return nil, err
-	}
+// sweepBatched fans every seed's round through one engine bound to the
+// sweep's program — RunConcurrent reuses pooled round state across the
+// whole batch and honors ctx between rounds.
+func (s *Server) sweepBatched(ctx context.Context, entry *planEntry, prog *m2m.Program, req *SweepRequest) ([]SweepSeedResult, error) {
+	eng := prog.Bind(nil, nil)
 	n := entry.net.Len()
 	seeds := req.SeedTo - req.SeedFrom
 	batch := make([]map[graph.NodeID]float64, seeds)
@@ -145,7 +151,7 @@ func (s *Server) sweepBatched(ctx context.Context, entry *planEntry, req *SweepR
 // sweepSessions runs one resilient session per seed on a bounded worker
 // pool: chaos and battery arms carry state across rounds, so seeds are
 // the only parallel axis.
-func (s *Server) sweepSessions(ctx context.Context, entry *planEntry, req *SweepRequest, v *SweepVariant) ([]SweepSeedResult, error) {
+func (s *Server) sweepSessions(ctx context.Context, entry *planEntry, prog *m2m.Program, req *SweepRequest, v *SweepVariant) ([]SweepSeedResult, error) {
 	n := entry.net.Len()
 	seeds := int(req.SeedTo - req.SeedFrom)
 	rounds := v.Rounds
@@ -166,7 +172,7 @@ func (s *Server) sweepSessions(ctx context.Context, entry *planEntry, req *Sweep
 			defer wg.Done()
 			for i := range work {
 				seed := req.SeedFrom + int64(i)
-				results[i], errs[i] = s.runSweepSession(ctx, entry, v, n, seed, rounds)
+				results[i], errs[i] = s.runSweepSession(ctx, entry, prog, v, n, seed, rounds)
 			}
 		}()
 	}
@@ -191,7 +197,7 @@ feed:
 	return results, nil
 }
 
-func (s *Server) runSweepSession(ctx context.Context, entry *planEntry, v *SweepVariant, n int, seed int64, rounds int) (SweepSeedResult, error) {
+func (s *Server) runSweepSession(ctx context.Context, entry *planEntry, prog *m2m.Program, v *SweepVariant, n int, seed int64, rounds int) (SweepSeedResult, error) {
 	var faults m2m.FaultSchedule
 	if v.Loss > 0 {
 		inj := m2m.NewFaultInjector(seed)
@@ -209,8 +215,8 @@ func (s *Server) runSweepSession(ctx context.Context, entry *planEntry, v *Sweep
 		}
 		rcfg.Battery = bat
 	}
-	sess, err := m2m.NewResilientSessionWithPlan(
-		entry.net, entry.sessionSpecs(), entry.kind, entry.inst, entry.plan,
+	sess, err := m2m.NewResilientSessionWithProgram(
+		entry.net, entry.sessionSpecs(), entry.kind, entry.inst, prog,
 		sweepSeedReadings(n, seed), faults, rcfg)
 	if err != nil {
 		return SweepSeedResult{}, err

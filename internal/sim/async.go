@@ -223,35 +223,35 @@ type asyncTopo struct {
 // asyncTopology derives the message DAG from the unit-level wait-for sets
 // of buildDeps. The build is lazy and guarded by topoOnce, so concurrent
 // rounds over one engine observe a single, immutable topology.
-func (e *Engine) asyncTopology() *asyncTopo {
-	e.topoOnce.Do(func() { e.topo = e.buildAsyncTopo() })
-	return e.topo
+func (p *Program) asyncTopology() *asyncTopo {
+	p.topoOnce.Do(func() { p.topo = p.buildAsyncTopo() })
+	return p.topo
 }
 
-func (e *Engine) buildAsyncTopo() *asyncTopo {
+func (p *Program) buildAsyncTopo() *asyncTopo {
 	t := &asyncTopo{
-		deps:       make([][]int, len(e.messages)),
-		dependents: make([][]int, len(e.messages)),
-		relevant:   make([][]int32, len(e.messages)),
-		inCount:    make([]int32, len(e.prog.finals)),
-		seqTag:     make([]uint32, len(e.messages)),
+		deps:       make([][]int, len(p.messages)),
+		dependents: make([][]int, len(p.messages)),
+		relevant:   make([][]int32, len(p.messages)),
+		inCount:    make([]int32, len(p.prog.finals)),
+		seqTag:     make([]uint32, len(p.messages)),
 	}
-	unitMsg := make([]int, len(e.units))
-	for mi, msg := range e.messages {
+	unitMsg := make([]int, len(p.units))
+	for mi, msg := range p.messages {
 		for _, ui := range msg {
 			unitMsg[ui] = mi
 		}
 	}
-	inst := e.Plan.Inst
+	inst := p.Plan.Inst
 	nextSeq := make(map[routing.Edge]uint32)
-	for mi, msg := range e.messages {
-		edge := e.units[msg[0]].Edge
+	for mi, msg := range p.messages {
+		edge := p.units[msg[0]].Edge
 		t.seqTag[mi] = nextSeq[edge]
 		nextSeq[edge]++
 
 		seen := make(map[int]bool)
 		for _, ui := range msg {
-			for _, dep := range e.deps[ui] {
+			for _, dep := range p.deps[ui] {
 				dm := unitMsg[dep]
 				if dm != mi && !seen[dm] {
 					seen[dm] = true
@@ -268,16 +268,16 @@ func (e *Engine) buildAsyncTopo() *asyncTopo {
 			f := spec.Func
 			var rel bool
 			for _, ui := range msg {
-				u := e.units[ui]
+				u := p.units[ui]
 				switch {
 				case u.Kind == plan.UnitAgg && u.Node == edge.To:
 					rel = true
-				case u.Kind == plan.UnitRaw && f.HasSource(u.Node) && e.provUnit[ui]:
+				case u.Kind == plan.UnitRaw && f.HasSource(u.Node) && p.provUnit[ui]:
 					rel = true
 				}
 			}
 			if rel {
-				fi := e.prog.finalOf[edge.To]
+				fi := p.prog.finalOf[edge.To]
 				t.relevant[mi] = append(t.relevant[mi], fi)
 				t.inCount[fi]++
 			}

@@ -15,10 +15,10 @@ import (
 // price of sharing the medium — so broadcast wins exactly when a node
 // duplicates enough raw bytes across out-edges to cover its neighbors'
 // extra listening.
-func (e *Engine) accountBroadcastEnergy() {
-	e.energyJ = 0
-	e.bodyBytes = 0
-	e.perNodeJ = make(map[graph.NodeID]float64)
+func (p *Program) accountBroadcastEnergy() {
+	p.energyJ = 0
+	p.bodyBytes = 0
+	p.perNodeJ = make(map[graph.NodeID]float64)
 
 	type nodeTraffic struct {
 		rawBytes  map[graph.NodeID]int // deduplicated raw units by source
@@ -27,7 +27,7 @@ func (e *Engine) accountBroadcastEnergy() {
 	}
 	byNode := make(map[graph.NodeID]*nodeTraffic)
 	var senders []graph.NodeID
-	for _, u := range e.units {
+	for _, u := range p.units {
 		n := u.Edge.From
 		t, ok := byNode[n]
 		if !ok {
@@ -39,30 +39,30 @@ func (e *Engine) accountBroadcastEnergy() {
 			senders = append(senders, n)
 		}
 		if u.Kind == plan.UnitRaw {
-			t.rawBytes[u.Node] = e.Plan.Bytes(u)
+			t.rawBytes[u.Node] = p.Plan.Bytes(u)
 		} else {
-			t.recBytes += e.Plan.Bytes(u)
+			t.recBytes += p.Plan.Bytes(u)
 		}
 		t.listeners[u.Edge.To] = true
 	}
 	sort.Slice(senders, func(i, j int) bool { return senders[i] < senders[j] })
 
 	// One broadcast message per sender.
-	e.messages = e.messages[:0]
+	p.messages = p.messages[:0]
 	for _, n := range senders {
 		t := byNode[n]
 		body := t.recBytes
 		for _, b := range t.rawBytes {
 			body += b
 		}
-		e.bodyBytes += body
-		e.energyJ += e.Radio.BroadcastJoules(body, len(t.listeners))
-		e.perNodeJ[n] += e.Radio.TxJoules(body)
+		p.bodyBytes += body
+		p.energyJ += p.Radio.BroadcastJoules(body, len(t.listeners))
+		p.perNodeJ[n] += p.Radio.TxJoules(body)
 		for l := range t.listeners {
-			e.perNodeJ[l] += e.Radio.RxJoules(body)
+			p.perNodeJ[l] += p.Radio.RxJoules(body)
 		}
 		// Record the broadcast as one message for reporting purposes; the
 		// unit indices are not needed downstream of energy accounting.
-		e.messages = append(e.messages, nil)
+		p.messages = append(p.messages, nil)
 	}
 }

@@ -98,7 +98,7 @@ type CollisionFaults interface {
 
 // contention is the static conflict topology of the engine's message
 // layout: which planned messages cannot share a slot, plus the schedule
-// form of the layout. Built lazily once per engine; immutable after.
+// form of the layout. Built lazily once per program; immutable after.
 type contention struct {
 	msgs     []schedule.Message
 	conflict [][]int // conflict[mi] = message indices mi interferes with, ascending
@@ -107,11 +107,11 @@ type contention struct {
 
 // contentionTopo builds (once) the conflict adjacency over the message
 // layout. Unavailable in broadcast mode, like MessageGraph.
-func (e *Engine) contentionTopo() (*contention, error) {
-	e.contOnce.Do(func() {
-		infos, err := e.MessageGraph()
+func (p *Program) contentionTopo() (*contention, error) {
+	p.contOnce.Do(func() {
+		infos, err := p.MessageGraph()
 		if err != nil {
-			e.contErr = err
+			p.contErr = err
 			return
 		}
 		ct := &contention{
@@ -121,7 +121,7 @@ func (e *Engine) contentionTopo() (*contention, error) {
 		for i, inf := range infos {
 			ct.msgs[i] = schedule.Message{From: inf.From, To: inf.To, Deps: inf.Deps}
 		}
-		net := e.Plan.Inst.Net
+		net := p.Plan.Inst.Net
 		for i := range ct.msgs {
 			for j := i + 1; j < len(ct.msgs); j++ {
 				if schedule.Conflicts(net, ct.msgs[i], ct.msgs[j]) {
@@ -130,29 +130,29 @@ func (e *Engine) contentionTopo() (*contention, error) {
 				}
 			}
 		}
-		for _, msg := range e.messages {
+		for _, msg := range p.messages {
 			body := 0
 			for _, ui := range msg {
-				body += int(e.prog.unitBytes[ui])
+				body += int(p.prog.unitBytes[ui])
 			}
 			if body > ct.maxBody {
 				ct.maxBody = body
 			}
 		}
-		e.cont = ct
+		p.cont = ct
 	})
-	return e.cont, e.contErr
+	return p.cont, p.contErr
 }
 
 // BuildSchedule derives the TDMA frame for the engine's message layout:
 // the wait-for DAG supplies the precedence edges and the greedy colorer
 // packs non-conflicting messages into shared slots.
-func (e *Engine) BuildSchedule() (*schedule.Schedule, []schedule.Message, error) {
-	ct, err := e.contentionTopo()
+func (p *Program) BuildSchedule() (*schedule.Schedule, []schedule.Message, error) {
+	ct, err := p.contentionTopo()
 	if err != nil {
 		return nil, nil, err
 	}
-	s, err := schedule.Build(e.Plan.Inst.Net, ct.msgs)
+	s, err := schedule.Build(p.Plan.Inst.Net, ct.msgs)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // This file compiles a plan into a flat, index-based round program at
-// NewEngine time. Every (node, source) raw value and every (node, dest)
+// Compile time. Every (node, source) raw value and every (node, dest)
 // partial record the plan can ever hold is interned into a dense slot id,
 // and every message unit becomes a unitOp: a raw copy between two slots,
 // or a record assembly whose operand list replays the map-based reference
@@ -18,7 +18,7 @@ import (
 // contiguous scratch arrays (RoundState) with no map lookups and no heap
 // allocations, and — because the compiled program is immutable after
 // construction — arbitrarily many rounds may execute concurrently over
-// one Engine (RunConcurrent).
+// one Program, from one Engine (RunConcurrent) or many bound to it.
 //
 // The presence checks the reference executor performs at run time are
 // discharged statically here: compile replays the processing order over
@@ -110,8 +110,8 @@ func inPlaceOf(f agg.Func) agg.InPlace {
 // (the processing order is final) and fails with the reference executor's
 // error for any plan whose reads are not covered by writes — turning the
 // old per-round runtime checks into one construction-time proof.
-func (e *Engine) compile() error {
-	inst := e.Plan.Inst
+func (p *Program) compile() error {
+	inst := p.Plan.Inst
 	c := &compiled{}
 
 	rawSlots := make(map[nodeSource]int32)
@@ -201,7 +201,7 @@ func (e *Engine) compile() error {
 				continue
 			}
 			in := routing.Edge{From: path[pos-1], To: path[pos]}
-			if e.Plan.Sol[in].Agg[d] {
+			if p.Plan.Sol[in].Agg[d] {
 				if !usedUpstream {
 					usedUpstream = true
 					inputs = append(inputs, unitInput{kind: inRec, slot: recSlot(n, d)})
@@ -216,10 +216,10 @@ func (e *Engine) compile() error {
 		return inputs, nil
 	}
 
-	c.ops = make([]unitOp, len(e.units))
-	c.unitBytes = make([]int32, len(e.units))
-	for i, u := range e.units {
-		c.unitBytes[i] = int32(e.Plan.Bytes(u))
+	c.ops = make([]unitOp, len(p.units))
+	c.unitBytes = make([]int32, len(p.units))
+	for i, u := range p.units {
+		c.unitBytes[i] = int32(p.Plan.Bytes(u))
 		if u.Kind == plan.UnitRaw {
 			c.ops[i] = unitOp{kind: plan.UnitRaw, from: rawSlot(u.Edge.From, u.Node), to: rawSlot(u.Edge.To, u.Node)}
 			continue
@@ -266,16 +266,16 @@ func (e *Engine) compile() error {
 
 	// Dense ids for the edges the message layout uses, so per-round ARQ
 	// attempt counters and receive windows index arrays instead of maps.
-	c.msgEdge = make([]int32, len(e.messages))
+	c.msgEdge = make([]int32, len(p.messages))
 	edgeID := make(map[routing.Edge]int32)
-	for mi, msg := range e.messages {
+	for mi, msg := range p.messages {
 		if len(msg) == 0 {
 			// Broadcast-mode placeholder messages carry no units (and the
 			// lossy executors reject broadcast engines upstream).
 			c.msgEdge[mi] = -1
 			continue
 		}
-		edge := e.units[msg[0]].Edge
+		edge := p.units[msg[0]].Edge
 		id, ok := edgeID[edge]
 		if !ok {
 			id = int32(c.nMsgEdges)
@@ -313,17 +313,17 @@ func (e *Engine) compile() error {
 		}
 		return nil
 	}
-	for _, idx := range e.order {
+	for _, idx := range p.order {
 		op := &c.ops[idx]
 		if op.kind == plan.UnitRaw {
-			u := e.units[idx]
+			u := p.units[idx]
 			if !rawSet[op.from] {
 				return fmt.Errorf("sim: raw %d missing at %d", u.Node, u.Edge.From)
 			}
 			rawSet[op.to] = true
 			continue
 		}
-		u := e.units[idx]
+		u := p.units[idx]
 		if err := checkInputs(u.Edge.From, u.Node, op.inputs); err != nil {
 			return err
 		}
@@ -336,7 +336,7 @@ func (e *Engine) compile() error {
 			return err
 		}
 	}
-	e.prog = c
+	p.prog = c
 	return nil
 }
 

@@ -31,14 +31,16 @@ type nodeDest struct {
 	node, dest graph.NodeID
 }
 
-// Engine executes one plan. It precomputes the unit list, the wait-for
-// DAG, a topological processing order, and the message layout, then
-// compiles everything into a flat, index-based round program (compile.go),
-// so repeated Run calls only do value propagation over dense scratch
-// arrays. The compiled program is immutable after NewEngine: any number of
-// rounds may execute concurrently over one Engine (RunConcurrent), each on
-// its own pooled RoundState.
-type Engine struct {
+// Program is the immutable compiled form of one plan under one radio
+// model and one set of construction options: the unit list, the wait-for
+// DAG, a topological processing order, the message layout and its static
+// energy, and the flat, index-based round program (compile.go) that
+// repeated rounds execute over dense scratch arrays. Nothing in a Program
+// changes after Compile except two lazily built, sync.Once-guarded views
+// (the async message DAG and the collision conflict graph) and the scratch
+// pools, so one Program may back any number of engines — and any number of
+// concurrent rounds — at once.
+type Program struct {
 	Plan  *plan.Plan
 	Radio radio.Model
 
@@ -56,18 +58,27 @@ type Engine struct {
 	pool      sync.Pool // *RoundState scratch, recycled across rounds
 	lossyPool sync.Pool // *lossyState scratch for the lossy/async paths
 
-	battery  *Battery     // optional residual-energy ledger (Options.Battery)
-	batRound atomic.Int64 // rounds drained on the fault-free paths
-
-	adversary Adversary    // optional corruption schedule (Options.Adversary)
-	advRound  atomic.Int64 // fault-free rounds the adversary has seen
-
 	topo     *asyncTopo // message-level DAG for the async executor
 	topoOnce sync.Once  // guards the lazy build so concurrent rounds stay safe
 
 	cont     *contention // message conflict topology for the collision model
 	contOnce sync.Once   // guards its lazy build
 	contErr  error
+}
+
+// Engine executes one plan: a shared, immutable Program plus the small
+// runtime one session owns — its battery ledger, its adversary, the
+// fault-free round counters both consult, and its transmission discipline
+// and TDMA frame. Engines bound to the same Program never observe each
+// other: everything they write lives here or in per-round scratch.
+type Engine struct {
+	*Program
+
+	battery  *Battery     // optional residual-energy ledger (Options.Battery)
+	batRound atomic.Int64 // rounds drained on the fault-free paths
+
+	adversary Adversary    // optional corruption schedule (Options.Adversary)
+	advRound  atomic.Int64 // fault-free rounds the adversary has seen
 
 	txMode  TxMode             // transmission discipline under collisions
 	txSched *schedule.Schedule // installed TDMA frame (TxTDMA)
@@ -111,29 +122,50 @@ type Options struct {
 	Adversary Adversary
 }
 
-// NewEngine prepares an executor for p. It fails if the plan's wait-for
-// graph is cyclic (impossible for valid plans, per Theorem 2).
+// NewEngine prepares an executor for p: Compile followed by Bind. It
+// fails if the plan's wait-for graph is cyclic (impossible for valid
+// plans, per Theorem 2).
 func NewEngine(p *plan.Plan, model radio.Model, opts Options) (*Engine, error) {
+	prog, err := Compile(p, model, opts)
+	if err != nil {
+		return nil, err
+	}
+	return prog.Bind(opts.Battery, opts.Adversary), nil
+}
+
+// Bind returns a fresh engine executing the program with its own runtime:
+// the given battery ledger and adversary (either may be nil), zeroed round
+// counters, and the unscheduled transmission discipline.
+func (p *Program) Bind(battery *Battery, adversary Adversary) *Engine {
+	return &Engine{Program: p, battery: battery, adversary: adversary}
+}
+
+// Compile derives the immutable round program for pl under model and the
+// construction fields of opts (MergeMessages, EdgeHops, Broadcast,
+// LinkLoss); the runtime fields Battery and Adversary are ignored here and
+// supplied per engine by Bind. It fails if the plan's wait-for graph is
+// cyclic (impossible for valid plans, per Theorem 2).
+func Compile(pl *plan.Plan, model radio.Model, opts Options) (*Program, error) {
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Engine{Plan: p, Radio: model, battery: opts.Battery, adversary: opts.Adversary}
-	e.units = p.Units()
-	provider := e.buildProviders()
-	if err := e.buildDeps(provider); err != nil {
+	p := &Program{Plan: pl, Radio: model}
+	p.units = pl.Units()
+	provider := p.buildProviders()
+	if err := p.buildDeps(provider); err != nil {
 		return nil, err
 	}
-	e.provUnit = make([]bool, len(e.units))
-	for i, u := range e.units {
+	p.provUnit = make([]bool, len(p.units))
+	for i, u := range p.units {
 		if u.Kind != plan.UnitRaw {
 			continue
 		}
 		if prov, ok := provider[nodeSource{node: u.Edge.To, source: u.Node}]; ok && prov == u.Edge {
-			e.provUnit[i] = true
+			p.provUnit[i] = true
 		}
 	}
-	d := graph.NewDigraph(len(e.units))
-	for u, ds := range e.deps {
+	d := graph.NewDigraph(len(p.units))
+	for u, ds := range p.deps {
 		for _, dep := range ds {
 			d.AddArc(dep, u)
 		}
@@ -142,9 +174,9 @@ func NewEngine(p *plan.Plan, model radio.Model, opts Options) (*Engine, error) {
 	if !ok {
 		return nil, fmt.Errorf("sim: wait-for cycle among message units (Theorem 2 violated)")
 	}
-	e.order = order
-	e.buildMessages(opts.MergeMessages)
-	if err := e.orderMessages(); err != nil {
+	p.order = order
+	p.buildMessages(opts.MergeMessages)
+	if err := p.orderMessages(); err != nil {
 		return nil, err
 	}
 	if opts.Broadcast {
@@ -154,29 +186,29 @@ func NewEngine(p *plan.Plan, model radio.Model, opts Options) (*Engine, error) {
 		if opts.LinkLoss != nil {
 			return nil, fmt.Errorf("sim: Broadcast and LinkLoss are incompatible")
 		}
-		e.accountBroadcastEnergy()
+		p.accountBroadcastEnergy()
 	} else {
-		if err := e.accountEnergy(opts.EdgeHops, opts.LinkLoss); err != nil {
+		if err := p.accountEnergy(opts.EdgeHops, opts.LinkLoss); err != nil {
 			return nil, err
 		}
 	}
-	if err := e.compile(); err != nil {
+	if err := p.compile(); err != nil {
 		return nil, err
 	}
-	e.pool.New = func() any { return e.NewRoundState() }
-	e.lossyPool.New = func() any { return e.newLossyState() }
-	return e, nil
+	p.pool.New = func() any { return p.NewRoundState() }
+	p.lossyPool.New = func() any { return p.newLossyState() }
+	return p, nil
 }
 
 // buildProviders picks, for every (node, source) with the source's raw
 // value available, the deterministic in-edge that delivers it first. The
 // map only lives through construction: per-unit facts derived from it
 // (deps, provUnit) are stored as slices indexed by unit.
-func (e *Engine) buildProviders() map[nodeSource]routing.Edge {
+func (p *Program) buildProviders() map[nodeSource]routing.Edge {
 	provider := make(map[nodeSource]routing.Edge)
 	edgesBySource := make(map[graph.NodeID][]routing.Edge)
-	for _, eg := range e.Plan.Inst.EdgeList {
-		for s := range e.Plan.Sol[eg].Raw {
+	for _, eg := range p.Plan.Inst.EdgeList {
+		for s := range p.Plan.Sol[eg].Raw {
 			edgesBySource[s] = append(edgesBySource[s], eg)
 		}
 	}
@@ -205,13 +237,13 @@ func (e *Engine) buildProviders() map[nodeSource]routing.Edge {
 // buildDeps derives each unit's wait-for set (Section 3): a forwarded raw
 // value waits for the copy that delivered it; a partial record waits for
 // the upstream records and raw values it merges.
-func (e *Engine) buildDeps(provider map[nodeSource]routing.Edge) error {
-	unitIdx := make(map[plan.Unit]int, len(e.units))
-	for i, u := range e.units {
+func (p *Program) buildDeps(provider map[nodeSource]routing.Edge) error {
+	unitIdx := make(map[plan.Unit]int, len(p.units))
+	for i, u := range p.units {
 		unitIdx[u] = i
 	}
-	e.deps = make([][]int, len(e.units))
-	for i, u := range e.units {
+	p.deps = make([][]int, len(p.units))
+	for i, u := range p.units {
 		seen := make(map[int]bool)
 		add := func(dep plan.Unit) error {
 			j, ok := unitIdx[dep]
@@ -220,7 +252,7 @@ func (e *Engine) buildDeps(provider map[nodeSource]routing.Edge) error {
 			}
 			if !seen[j] {
 				seen[j] = true
-				e.deps[i] = append(e.deps[i], j)
+				p.deps[i] = append(p.deps[i], j)
 			}
 			return nil
 		}
@@ -238,17 +270,17 @@ func (e *Engine) buildDeps(provider map[nodeSource]routing.Edge) error {
 			}
 		case plan.UnitAgg:
 			n := u.Edge.From
-			for _, pr := range e.Plan.Inst.EdgePairs[u.Edge] {
+			for _, pr := range p.Plan.Inst.EdgePairs[u.Edge] {
 				if pr.Dest != u.Node {
 					continue
 				}
-				pos := e.Plan.Inst.PairEdgeIndex(pr, u.Edge)
+				pos := p.Plan.Inst.PairEdgeIndex(pr, u.Edge)
 				if pos == 0 {
 					continue // the source is n itself: local reading
 				}
-				path := e.Plan.Inst.Paths[pr]
+				path := p.Plan.Inst.Paths[pr]
 				in := routing.Edge{From: path[pos-1], To: path[pos]}
-				if e.Plan.Sol[in].Agg[u.Node] {
+				if p.Plan.Sol[in].Agg[u.Node] {
 					if err := add(plan.Unit{Edge: in, Kind: plan.UnitAgg, Node: u.Node}); err != nil {
 						return err
 					}
@@ -263,7 +295,7 @@ func (e *Engine) buildDeps(provider map[nodeSource]routing.Edge) error {
 				}
 			}
 		}
-		sort.Ints(e.deps[i])
+		sort.Ints(p.deps[i])
 	}
 	return nil
 }
@@ -339,154 +371,11 @@ func (e *Engine) RunObserved(readings map[graph.NodeID]float64, obs Observer) (*
 	return res, nil
 }
 
-// runMapBased is the original map-keyed executor, kept as the reference
-// implementation the compiled program is differentially tested against:
-// compiled rounds must stay byte-identical to it, values and energy.
-func (e *Engine) runMapBased(round int, readings map[graph.NodeID]float64, obs Observer) (*RoundResult, error) {
-	rawVal := make(map[nodeSource]float64)
-	recVal := make(map[nodeDest]agg.Record)
-	inst := e.Plan.Inst
-	for _, s := range inst.Sources() {
-		v := readings[s]
-		if e.adversary != nil {
-			v = e.adversary.CorruptReading(round, s, v)
-		}
-		rawVal[nodeSource{node: s, source: s}] = v
-	}
-
-	for _, idx := range e.order {
-		u := e.units[idx]
-		switch u.Kind {
-		case plan.UnitRaw:
-			v, ok := rawVal[nodeSource{node: u.Edge.From, source: u.Node}]
-			if !ok {
-				return nil, fmt.Errorf("sim: raw %d missing at %d", u.Node, u.Edge.From)
-			}
-			rawVal[nodeSource{node: u.Edge.To, source: u.Node}] = v
-			if obs != nil {
-				obs(u, v, nil)
-			}
-		case plan.UnitAgg:
-			rec, err := e.assembleRecord(u.Edge.From, u.Node, u.Edge, rawVal, recVal)
-			if err != nil {
-				return nil, err
-			}
-			if obs != nil {
-				obs(u, 0, rec)
-			}
-			key := nodeDest{node: u.Edge.To, dest: u.Node}
-			if prev, ok := recVal[key]; ok {
-				f := inst.SpecByDest[u.Node].Func
-				recVal[key] = f.Merge(prev, rec)
-			} else {
-				recVal[key] = rec
-			}
-		}
-	}
-
-	values := make(map[graph.NodeID]float64, len(inst.SpecByDest))
-	for _, d := range inst.Dests() {
-		rec, err := e.assembleRecord(d, d, routing.Edge{}, rawVal, recVal)
-		if err != nil {
-			return nil, err
-		}
-		values[d] = inst.SpecByDest[d].Func.Eval(rec)
-	}
-
-	e.drainStatic()
-	return &RoundResult{
-		Values:     values,
-		EnergyJ:    e.energyJ,
-		Messages:   len(e.messages),
-		Units:      len(e.units),
-		BodyBytes:  e.bodyBytes,
-		OnAirBytes: e.bodyBytes + len(e.messages)*e.Radio.HeaderBytes,
-		PerNodeJ:   e.perNodeJ,
-	}, nil
-}
-
 // PerNodeEnergy returns each node's precomputed share of one full round's
 // energy under the engine's options. The map is owned by the engine; treat
 // it as read-only. It is reading-independent, so lifetime estimates can
 // use it without executing a round.
-func (e *Engine) PerNodeEnergy() map[graph.NodeID]float64 { return e.perNodeJ }
-
-// assembleRecord merges destination d's contributions at node n. For a
-// transmitted record, out is the carrying edge (contributions are the
-// pairs crossing it); for the final merge at d itself, out is the zero
-// edge and the contributions are all of d's sources.
-func (e *Engine) assembleRecord(n, d graph.NodeID, out routing.Edge, rawVal map[nodeSource]float64, recVal map[nodeDest]agg.Record) (agg.Record, error) {
-	inst := e.Plan.Inst
-	f := inst.SpecByDest[d].Func
-	final := out == routing.Edge{}
-
-	var pairs []plan.Pair
-	if final {
-		for _, s := range f.Sources() {
-			pairs = append(pairs, plan.Pair{Source: s, Dest: d})
-		}
-	} else {
-		for _, pr := range inst.EdgePairs[out] {
-			if pr.Dest == d {
-				pairs = append(pairs, pr)
-			}
-		}
-	}
-
-	var rec agg.Record
-	mergeIn := func(r agg.Record) {
-		if rec == nil {
-			rec = r.Clone()
-		} else {
-			rec = f.Merge(rec, r)
-		}
-	}
-	usedUpstream := false
-	for _, pr := range pairs {
-		path := inst.Paths[pr]
-		// n's position on the pair's path: last for the final merge,
-		// out's From-index otherwise.
-		var pos int
-		if final {
-			pos = len(path) - 1
-		} else {
-			pos = inst.PairEdgeIndex(pr, out)
-			if pos < 0 {
-				return nil, fmt.Errorf("sim: pair %d→%d does not cross %v", pr.Source, pr.Dest, out)
-			}
-		}
-		if pos == 0 {
-			// n is the source itself.
-			v, ok := rawVal[nodeSource{node: n, source: pr.Source}]
-			if !ok {
-				return nil, fmt.Errorf("sim: local reading of %d missing", pr.Source)
-			}
-			mergeIn(f.PreAgg(pr.Source, v))
-			continue
-		}
-		in := routing.Edge{From: path[pos-1], To: path[pos]}
-		if e.Plan.Sol[in].Agg[d] {
-			if !usedUpstream {
-				usedUpstream = true
-				r, ok := recVal[nodeDest{node: n, dest: d}]
-				if !ok {
-					return nil, fmt.Errorf("sim: record for %d missing at %d", d, n)
-				}
-				mergeIn(r)
-			}
-			continue
-		}
-		v, ok := rawVal[nodeSource{node: n, source: pr.Source}]
-		if !ok {
-			return nil, fmt.Errorf("sim: raw %d missing at %d for record %d", pr.Source, n, d)
-		}
-		mergeIn(f.PreAgg(pr.Source, v))
-	}
-	if rec == nil {
-		return nil, fmt.Errorf("sim: empty record for %d at %d", d, n)
-	}
-	return rec, nil
-}
+func (p *Program) PerNodeEnergy() map[graph.NodeID]float64 { return p.perNodeJ }
 
 // accountEnergy prices the message layout: each message is one unicast of
 // header + its units' payloads per physical hop of its edge, inflated by
@@ -495,16 +384,16 @@ func (e *Engine) assembleRecord(n, d graph.NodeID, out routing.Edge, rawVal map[
 // relaying between milestones is split evenly between the endpoints (the
 // intermediate relays are chosen by the communication layer at runtime
 // and unknown to the plan).
-func (e *Engine) accountEnergy(edgeHops func(routing.Edge) int, linkLoss func(routing.Edge) float64) error {
-	e.energyJ = 0
-	e.bodyBytes = 0
-	e.perNodeJ = make(map[graph.NodeID]float64)
-	for _, msg := range e.messages {
+func (p *Program) accountEnergy(edgeHops func(routing.Edge) int, linkLoss func(routing.Edge) float64) error {
+	p.energyJ = 0
+	p.bodyBytes = 0
+	p.perNodeJ = make(map[graph.NodeID]float64)
+	for _, msg := range p.messages {
 		body := 0
 		for _, ui := range msg {
-			body += e.Plan.Bytes(e.units[ui])
+			body += p.Plan.Bytes(p.units[ui])
 		}
-		edge := e.units[msg[0]].Edge
+		edge := p.units[msg[0]].Edge
 		hops := 1
 		if edgeHops != nil {
 			if h := edgeHops(edge); h > 0 {
@@ -519,15 +408,15 @@ func (e *Engine) accountEnergy(edgeHops func(routing.Edge) int, linkLoss func(ro
 			}
 			arq = f
 		}
-		e.bodyBytes += body
-		total := arq * float64(hops) * e.Radio.UnicastJoules(body)
-		e.energyJ += total
+		p.bodyBytes += body
+		total := arq * float64(hops) * p.Radio.UnicastJoules(body)
+		p.energyJ += total
 		if hops == 1 {
-			e.perNodeJ[edge.From] += arq * e.Radio.TxJoules(body)
-			e.perNodeJ[edge.To] += arq * e.Radio.RxJoules(body)
+			p.perNodeJ[edge.From] += arq * p.Radio.TxJoules(body)
+			p.perNodeJ[edge.To] += arq * p.Radio.RxJoules(body)
 		} else {
-			e.perNodeJ[edge.From] += total / 2
-			e.perNodeJ[edge.To] += total / 2
+			p.perNodeJ[edge.From] += total / 2
+			p.perNodeJ[edge.To] += total / 2
 		}
 	}
 	return nil

@@ -14,11 +14,11 @@ import (
 // the greedy merge collapses every edge to a single message in all its
 // experiments; the all-at-once attempt below succeeds in exactly those
 // cases and the pairwise fallback handles the rare cyclic ones.
-func (e *Engine) buildMessages(merge bool) {
+func (p *Program) buildMessages(merge bool) {
 	if !merge {
-		e.messages = make([][]int, len(e.units))
-		for i := range e.units {
-			e.messages[i] = []int{i}
+		p.messages = make([][]int, len(p.units))
+		for i := range p.units {
+			p.messages[i] = []int{i}
 		}
 		return
 	}
@@ -26,7 +26,7 @@ func (e *Engine) buildMessages(merge bool) {
 	// Start from the ideal layout: one message per edge.
 	byEdge := make(map[routing.Edge][]int)
 	var edges []routing.Edge
-	for i, u := range e.units {
+	for i, u := range p.units {
 		if len(byEdge[u.Edge]) == 0 {
 			edges = append(edges, u.Edge)
 		}
@@ -39,7 +39,7 @@ func (e *Engine) buildMessages(merge bool) {
 		return edges[i].To < edges[j].To
 	})
 
-	assign := make([]int, len(e.units)) // unit -> message id
+	assign := make([]int, len(p.units)) // unit -> message id
 	nMsgs := 0
 	for _, eg := range edges {
 		for _, ui := range byEdge[eg] {
@@ -47,8 +47,8 @@ func (e *Engine) buildMessages(merge bool) {
 		}
 		nMsgs++
 	}
-	if e.messageGraphAcyclic(assign, nMsgs) {
-		e.messages = messagesFromAssign(assign, nMsgs)
+	if p.messageGraphAcyclic(assign, nMsgs) {
+		p.messages = messagesFromAssign(assign, nMsgs)
 		return
 	}
 
@@ -58,7 +58,7 @@ func (e *Engine) buildMessages(merge bool) {
 	// messages (always feasible — the unit-level graph is acyclic per
 	// Theorem 2), then greedily re-merge pairs within just those edges.
 	for iter := 0; ; iter++ {
-		core := e.messageGraph(assign, nMsgs).CyclicCore()
+		core := p.messageGraph(assign, nMsgs).CyclicCore()
 		if len(core) == 0 {
 			break
 		}
@@ -69,9 +69,9 @@ func (e *Engine) buildMessages(merge bool) {
 		var brokenEdges []routing.Edge
 		seenEdge := make(map[routing.Edge]bool)
 		for ui, m := range assign {
-			if inCore[m] && !seenEdge[e.units[ui].Edge] {
-				seenEdge[e.units[ui].Edge] = true
-				brokenEdges = append(brokenEdges, e.units[ui].Edge)
+			if inCore[m] && !seenEdge[p.units[ui].Edge] {
+				seenEdge[p.units[ui].Edge] = true
+				brokenEdges = append(brokenEdges, p.units[ui].Edge)
 			}
 		}
 		for _, eg := range brokenEdges {
@@ -80,8 +80,8 @@ func (e *Engine) buildMessages(merge bool) {
 				nMsgs++
 			}
 		}
-		if !e.messageGraphAcyclic(assign, nMsgs) {
-			if iter > len(e.units) {
+		if !p.messageGraphAcyclic(assign, nMsgs) {
+			if iter > len(p.units) {
 				panic("sim: merge fallback failed to converge") // unreachable: fully split is acyclic
 			}
 			continue
@@ -92,7 +92,7 @@ func (e *Engine) buildMessages(merge bool) {
 		// never depend on each other) would close a cycle.
 		for _, eg := range brokenEdges {
 			uis := byEdge[eg]
-			mg := e.messageGraph(assign, nMsgs)
+			mg := p.messageGraph(assign, nMsgs)
 			cur := assign[uis[0]]
 			for _, ui := range uis[1:] {
 				b := assign[ui]
@@ -104,10 +104,10 @@ func (e *Engine) buildMessages(merge bool) {
 					continue
 				}
 				assign[ui] = cur
-				mg = e.messageGraph(assign, nMsgs)
+				mg = p.messageGraph(assign, nMsgs)
 			}
 		}
-		if !e.messageGraphAcyclic(assign, nMsgs) {
+		if !p.messageGraphAcyclic(assign, nMsgs) {
 			panic("sim: merge fallback produced a cyclic layout") // unreachable
 		}
 		break
@@ -122,7 +122,7 @@ func (e *Engine) buildMessages(merge bool) {
 	for ui, m := range assign {
 		assign[ui] = remap[m]
 	}
-	e.messages = messagesFromAssign(assign, len(remap))
+	p.messages = messagesFromAssign(assign, len(remap))
 }
 
 // orderMessages sorts e.messages into a deterministic topological order of
@@ -132,17 +132,17 @@ func (e *Engine) buildMessages(merge bool) {
 // never depend on each other, so the flattening is a valid unit order; Run
 // and RunLossy share it, which is what makes a fault-free lossy round
 // byte-identical to a plain one.
-func (e *Engine) orderMessages() error {
-	n := len(e.messages)
-	unitMsg := make([]int, len(e.units))
-	for m, uis := range e.messages {
+func (p *Program) orderMessages() error {
+	n := len(p.messages)
+	unitMsg := make([]int, len(p.units))
+	for m, uis := range p.messages {
 		for _, ui := range uis {
 			unitMsg[ui] = m
 		}
 	}
 	indeg := make([]int, n)
 	adj := make([][]int, n)
-	for u, ds := range e.deps {
+	for u, ds := range p.deps {
 		for _, dep := range ds {
 			if unitMsg[dep] != unitMsg[u] {
 				adj[unitMsg[dep]] = append(adj[unitMsg[dep]], unitMsg[u])
@@ -162,7 +162,7 @@ func (e *Engine) orderMessages() error {
 	for len(ready) > 0 {
 		best := 0
 		for i := 1; i < len(ready); i++ {
-			if e.messages[ready[i]][0] < e.messages[ready[best]][0] {
+			if p.messages[ready[i]][0] < p.messages[ready[best]][0] {
 				best = i
 			}
 		}
@@ -180,22 +180,22 @@ func (e *Engine) orderMessages() error {
 		return fmt.Errorf("sim: message wait-for cycle survived merging")
 	}
 	msgs := make([][]int, 0, n)
-	order := make([]int, 0, len(e.units))
+	order := make([]int, 0, len(p.units))
 	for _, m := range perm {
-		msgs = append(msgs, e.messages[m])
-		order = append(order, e.messages[m]...)
+		msgs = append(msgs, p.messages[m])
+		order = append(order, p.messages[m]...)
 	}
-	e.messages = msgs
-	e.order = order
+	p.messages = msgs
+	p.order = order
 	return nil
 }
 
 // messageGraph lifts the unit wait-for relation onto messages. Self-arcs
 // cannot arise (no unit depends on a unit of its own edge) but are
 // skipped defensively.
-func (e *Engine) messageGraph(assign []int, nMsgs int) *graph.Digraph {
+func (p *Program) messageGraph(assign []int, nMsgs int) *graph.Digraph {
 	d := graph.NewDigraph(nMsgs)
-	for u, ds := range e.deps {
+	for u, ds := range p.deps {
 		for _, dep := range ds {
 			if assign[dep] != assign[u] {
 				d.AddArc(assign[dep], assign[u])
@@ -207,8 +207,8 @@ func (e *Engine) messageGraph(assign []int, nMsgs int) *graph.Digraph {
 
 // messageGraphAcyclic checks whether the message-level wait-for relation
 // is a DAG.
-func (e *Engine) messageGraphAcyclic(assign []int, nMsgs int) bool {
-	return !e.messageGraph(assign, nMsgs).HasCycle()
+func (p *Program) messageGraphAcyclic(assign []int, nMsgs int) bool {
+	return !p.messageGraph(assign, nMsgs).HasCycle()
 }
 
 func messagesFromAssign(assign []int, nMsgs int) [][]int {

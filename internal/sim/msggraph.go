@@ -18,12 +18,12 @@ type MessageInfo struct {
 // MessageGraph exports the engine's message layout with message-level
 // wait-for dependencies. Only available in unicast modes (broadcast
 // accounting does not retain per-message unit assignments).
-func (e *Engine) MessageGraph() ([]MessageInfo, error) {
-	msgOf := make([]int, len(e.units))
+func (p *Program) MessageGraph() ([]MessageInfo, error) {
+	msgOf := make([]int, len(p.units))
 	for i := range msgOf {
 		msgOf[i] = -1
 	}
-	for mi, msg := range e.messages {
+	for mi, msg := range p.messages {
 		if len(msg) == 0 {
 			return nil, fmt.Errorf("sim: message graph unavailable in broadcast mode")
 		}
@@ -31,12 +31,12 @@ func (e *Engine) MessageGraph() ([]MessageInfo, error) {
 			msgOf[ui] = mi
 		}
 	}
-	out := make([]MessageInfo, len(e.messages))
-	for mi, msg := range e.messages {
-		edge := e.units[msg[0]].Edge
+	out := make([]MessageInfo, len(p.messages))
+	for mi, msg := range p.messages {
+		edge := p.units[msg[0]].Edge
 		deps := make(map[int]bool)
 		for _, ui := range msg {
-			for _, dep := range e.deps[ui] {
+			for _, dep := range p.deps[ui] {
 				if d := msgOf[dep]; d != mi {
 					deps[d] = true
 				}

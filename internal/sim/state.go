@@ -24,11 +24,11 @@ type RoundState struct {
 	res   RoundResult
 }
 
-// NewRoundState returns a fresh scratch sized for the engine's compiled
-// program. States are engine-specific; using one with another engine is
-// undefined.
-func (e *Engine) NewRoundState() *RoundState {
-	c := e.prog
+// NewRoundState returns a fresh scratch sized for the compiled program.
+// States are program-specific: any engine bound to the program may use
+// one, an engine of another program may not.
+func (p *Program) NewRoundState() *RoundState {
+	c := p.prog
 	return &RoundState{
 		raw:   make([]float64, c.nRaw),
 		arena: make([]float64, c.arena),
@@ -38,8 +38,8 @@ func (e *Engine) NewRoundState() *RoundState {
 	}
 }
 
-func (e *Engine) getState() *RoundState   { return e.pool.Get().(*RoundState) }
-func (e *Engine) putState(st *RoundState) { e.pool.Put(st) }
+func (p *Program) getState() *RoundState   { return p.pool.Get().(*RoundState) }
+func (p *Program) putState(st *RoundState) { p.pool.Put(st) }
 
 // assembleInto replays one compiled operand list into tmp: the first
 // operand is written, the rest folded with the function's merge — the
@@ -129,13 +129,13 @@ func (e *Engine) runCompiled(round int, readings map[graph.NodeID]float64, st *R
 }
 
 // fillResult stamps the engine's precomputed round constants into res.
-func (e *Engine) fillResult(res *RoundResult) {
-	res.EnergyJ = e.energyJ
-	res.Messages = len(e.messages)
-	res.Units = len(e.units)
-	res.BodyBytes = e.bodyBytes
-	res.OnAirBytes = e.bodyBytes + len(e.messages)*e.Radio.HeaderBytes
-	res.PerNodeJ = e.perNodeJ
+func (p *Program) fillResult(res *RoundResult) {
+	res.EnergyJ = p.energyJ
+	res.Messages = len(p.messages)
+	res.Units = len(p.units)
+	res.BodyBytes = p.bodyBytes
+	res.OnAirBytes = p.bodyBytes + len(p.messages)*p.Radio.HeaderBytes
+	res.PerNodeJ = p.perNodeJ
 }
 
 // RunInto executes one round into the caller-held state and returns its
@@ -152,7 +152,7 @@ func (e *Engine) RunInto(readings map[graph.NodeID]float64, st *RoundState) (*Ro
 
 // RunConcurrent executes len(batch) independent rounds over the shared
 // compiled program with a pool of worker goroutines (workers <= 0 selects
-// GOMAXPROCS). The program is immutable after NewEngine, so rounds only
+// GOMAXPROCS). The program is immutable after Compile, so rounds only
 // touch per-worker RoundStates; results[i] is batch[i]'s round, each with
 // its own freshly allocated Values map.
 //
@@ -223,8 +223,8 @@ type lossyState struct {
 	recs    []carriedRec
 }
 
-func (e *Engine) newLossyState() *lossyState {
-	c := e.prog
+func (p *Program) newLossyState() *lossyState {
+	c := p.prog
 	return &lossyState{
 		raw:     make([]float64, c.nRaw),
 		rawSet:  make([]bool, c.nRaw),
@@ -240,8 +240,8 @@ func (e *Engine) newLossyState() *lossyState {
 	}
 }
 
-func (e *Engine) getLossyState() *lossyState {
-	st := e.lossyPool.Get().(*lossyState)
+func (p *Program) getLossyState() *lossyState {
+	st := p.lossyPool.Get().(*lossyState)
 	for i := range st.rawSet {
 		st.rawSet[i] = false
 	}
@@ -266,19 +266,19 @@ func (e *Engine) getLossyState() *lossyState {
 // an edge is open only when both endpoints run the executing plan's epoch.
 // Schedules that carry no epoch view leave every edge open (the flags were
 // reset true by getLossyState), so the fence costs nothing when unused.
-func (e *Engine) fillEdgeFence(st *lossyState, faults Faults) {
+func (p *Program) fillEdgeFence(st *lossyState, faults Faults) {
 	ep, ok := faults.(Epochs)
 	if !ok {
 		return
 	}
-	c := e.prog
+	c := p.prog
 	pe := ep.PlanEpoch()
 	for i := 0; i < c.nMsgEdges; i++ {
 		st.edgeOK[i] = ep.NodeEpoch(c.edgeFrom[i]) == pe && ep.NodeEpoch(c.edgeTo[i]) == pe
 	}
 }
 
-func (e *Engine) putLossyState(st *lossyState) { e.lossyPool.Put(st) }
+func (p *Program) putLossyState(st *lossyState) { p.lossyPool.Put(st) }
 
 // mergeRecInto folds src into dst with fn's in-place extension when it has
 // one, reproducing dst = fn.Merge(dst, src) bit for bit either way.

@@ -425,7 +425,11 @@ func NewResilientSession(net *Network, specs []Spec, kind RouterKind, gen Readin
 	if err != nil {
 		return nil, err
 	}
-	return newResilientSession(net, specs, kind, inst, p, gen, faults, cfg)
+	prog, err := CompileProgram(net, p)
+	if err != nil {
+		return nil, err
+	}
+	return newResilientSession(net, specs, kind, inst, prog, gen, faults, cfg)
 }
 
 // NewResilientSessionWithPlan is NewResilientSession with the expensive
@@ -442,7 +446,42 @@ func NewResilientSessionWithPlan(net *Network, specs []Spec, kind RouterKind, in
 	if inst == nil || p == nil {
 		return nil, fmt.Errorf("m2m: nil instance or plan")
 	}
-	return newResilientSession(net, specs, kind, inst, p, gen, faults, cfg)
+	prog, err := CompileProgram(net, p)
+	if err != nil {
+		return nil, err
+	}
+	return newResilientSession(net, specs, kind, inst, prog, gen, faults, cfg)
+}
+
+// Program is a plan compiled for round execution: the immutable message
+// layout, static energy and slot program every round of the plan runs
+// on. One Program may back any number of concurrent sessions; each keeps
+// its own battery, adversary and transmission state.
+type Program = sim.Program
+
+// CompileProgram compiles p for execution on net's radio with the options
+// every ResilientSession runs under — the compile half of session
+// construction, which a serving layer caches next to the plan.
+func CompileProgram(net *Network, p *Plan) (*Program, error) {
+	return sim.Compile(p, net.Radio, sim.Options{MergeMessages: true})
+}
+
+// NewResilientSessionWithProgram is NewResilientSessionWithPlan with the
+// compile already done: prog must come from CompileProgram(net, p) for the
+// optimal plan p of (net, specs, kind) with instance inst. The session
+// binds its own runtime to the shared program and never mutates it; a
+// replan compiles a fresh program of its own.
+func NewResilientSessionWithProgram(net *Network, specs []Spec, kind RouterKind, inst *Instance, prog *Program, gen ReadingGenerator, faults FaultSchedule, cfg ResilientConfig) (*ResilientSession, error) {
+	if err := validateSessionInputs(net, kind, gen, cfg); err != nil {
+		return nil, err
+	}
+	if inst == nil || prog == nil {
+		return nil, fmt.Errorf("m2m: nil instance or program")
+	}
+	if prog.Radio != net.Radio {
+		return nil, fmt.Errorf("m2m: program compiled for another radio model")
+	}
+	return newResilientSession(net, specs, kind, inst, prog, gen, faults, cfg)
 }
 
 // validateSessionInputs holds the constructor checks shared by both
@@ -464,11 +503,11 @@ func validateSessionInputs(net *Network, kind RouterKind, gen ReadingGenerator, 
 	return nil
 }
 
-func newResilientSession(net *Network, specs []Spec, kind RouterKind, inst *Instance, p *Plan, gen ReadingGenerator, faults FaultSchedule, cfg ResilientConfig) (*ResilientSession, error) {
-	eng, err := sim.NewEngine(p, net.Radio, sim.Options{MergeMessages: true, Battery: cfg.Battery})
-	if err != nil {
-		return nil, err
-	}
+// newResilientSession is the one root constructor every entry point ends
+// in: it binds a fresh per-session engine (the session's battery ledger,
+// its own round counters and transmission state) to the compiled program.
+func newResilientSession(net *Network, specs []Spec, kind RouterKind, inst *Instance, prog *Program, gen ReadingGenerator, faults FaultSchedule, cfg ResilientConfig) (*ResilientSession, error) {
+	eng := prog.Bind(cfg.Battery, nil)
 	cfg = cfg.withDefaults()
 	var runner *sim.AsyncRunner
 	if cfg.Async != nil {
@@ -476,6 +515,7 @@ func newResilientSession(net *Network, specs []Spec, kind RouterKind, inst *Inst
 		if acfg.MaxRetries == 0 {
 			acfg.MaxRetries = cfg.MaxRetries
 		}
+		var err error
 		if runner, err = sim.NewAsyncRunner(eng, acfg); err != nil {
 			return nil, err
 		}
@@ -485,7 +525,7 @@ func newResilientSession(net *Network, specs []Spec, kind RouterKind, inst *Inst
 		kind:        kind,
 		specs:       specs,
 		inst:        inst,
-		plan:        p,
+		plan:        prog.Plan,
 		engine:      eng,
 		runner:      runner,
 		gen:         gen,
