@@ -287,6 +287,54 @@ func BenchmarkExecuteRoundReuse(b *testing.B) {
 	}
 }
 
+// BenchmarkLossyRound measures one fault-free round through the lossy
+// executor (RunLossy with a nil schedule) — the path every resilient
+// session round takes — against BenchmarkExecuteRoundReuse's kernel.
+func BenchmarkLossyRound(b *testing.B) {
+	eng, readings := benchEngine(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.RunLossy(i, readings, nil, 3); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAsyncRound measures one fault-free round through the
+// event-driven executor (zero-latency channels).
+func BenchmarkAsyncRound(b *testing.B) {
+	eng, readings := benchEngine(b)
+	runner, err := sim.NewAsyncRunner(eng, sim.AsyncConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := runner.Run(i, readings, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkResilientStep measures one fault-free ResilientSession round:
+// the lossy round plus the session's classification and bookkeeping.
+func BenchmarkResilientStep(b *testing.B) {
+	net, specs, gen := chaosFixture(b, 31)
+	s, err := NewResilientSession(net, specs, RouterReversePath, gen, nil, ResilientConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkExecuteRoundConcurrent measures batched round throughput over
 // one shared engine (64 rounds per op across GOMAXPROCS workers).
 func BenchmarkExecuteRoundConcurrent(b *testing.B) {

@@ -7,9 +7,7 @@ import (
 
 	"m2m/internal/chaos"
 	"m2m/internal/failure"
-	"m2m/internal/plan"
 	"m2m/internal/sim"
-	"m2m/internal/wire"
 )
 
 // Adversary is the Byzantine corruption schedule the executors consult
@@ -187,7 +185,11 @@ func (s *ResilientSession) excise(n NodeID, residual float64) (*ExcisionEvent, e
 	if err != nil {
 		return nil, fmt.Errorf("m2m: cannot excise node %d: %w", n, err)
 	}
-	replanJ, replanBytes, err := s.replanSpecs(pruned)
+	base, err := s.lowestAlive(noNode)
+	if err != nil {
+		return nil, err
+	}
+	cost, _, _, err := s.replan(s.net.Graph, pruned, s.prices, base)
 	if err != nil {
 		return nil, err
 	}
@@ -198,8 +200,8 @@ func (s *ResilientSession) excise(n NodeID, residual float64) (*ExcisionEvent, e
 		Node:            n,
 		Round:           s.round,
 		Residual:        residual,
-		ReplanJ:         replanJ,
-		ReplanBytes:     replanBytes,
+		ReplanJ:         cost.EnergyJ,
+		ReplanBytes:     cost.Bytes,
 		ReadmittedRound: -1,
 	}
 	s.excisions = append(s.excisions, ev)
@@ -218,7 +220,11 @@ func (s *ResilientSession) readmit(n NodeID) error {
 		s.excised[n] = true
 		return fmt.Errorf("m2m: cannot readmit node %d: %w", n, err)
 	}
-	if _, _, err := s.replanSpecs(specs); err != nil {
+	base, err := s.lowestAlive(noNode)
+	if err == nil {
+		_, _, _, err = s.replan(s.net.Graph, specs, s.prices, base)
+	}
+	if err != nil {
 		s.excised[n] = true
 		return err
 	}
@@ -253,82 +259,9 @@ func (s *ResilientSession) rebuildSpecs() ([]Spec, error) {
 	return specs, nil
 }
 
-// replanSpecs swaps the session onto a new workload over the unchanged
-// graph: incremental re-optimization against the executing plan, a new
-// engine (and async runner, inheriting RTT estimators and value caches),
-// and a new epoch whose table diffs disseminate at the end of the step.
-// It returns the priced dissemination cost of the diff.
-func (s *ResilientSession) replanSpecs(specs []Spec) (float64, int, error) {
-	newInst, err := s.newInstance(s.net.Graph, specs)
-	if err != nil {
-		return 0, 0, err
-	}
-	replanned, _, err := plan.ReoptimizeWithPrices(s.plan, newInst, s.prices)
-	if err != nil {
-		return 0, 0, err
-	}
-	oldTab, err := s.currentTables()
-	if err != nil {
-		return 0, 0, err
-	}
-	newTab, err := replanned.BuildTables()
-	if err != nil {
-		return 0, 0, err
-	}
-	base, err := s.lowestAlive(noNode)
-	if err != nil {
-		return 0, 0, err
-	}
-	diff, err := wire.CostUpdate(s.inst, newInst, oldTab, newTab, s.net.Radio, base)
-	if err != nil {
-		return 0, 0, err
-	}
-	changed, err := wire.ChangedNodes(s.inst, newInst, oldTab, newTab)
-	if err != nil {
-		return 0, 0, err
-	}
-	eng, err := sim.NewEngine(replanned, s.net.Radio, sim.Options{MergeMessages: true, Battery: s.cfg.Battery})
-	if err != nil {
-		return 0, 0, err
-	}
-	var runner *sim.AsyncRunner
-	if s.runner != nil {
-		acfg := *s.cfg.Async
-		if acfg.MaxRetries == 0 {
-			acfg.MaxRetries = s.cfg.MaxRetries
-		}
-		if runner, err = sim.NewAsyncRunner(eng, acfg); err != nil {
-			return 0, 0, err
-		}
-		runner.InheritState(s.runner)
-	}
-	for _, d := range s.inst.Dests() {
-		if _, ok := newInst.SpecByDest[d]; !ok {
-			delete(s.values, d)
-		}
-	}
-	s.specs = specs
-	s.inst = newInst
-	s.plan = replanned
-	s.engine = eng
-	if runner != nil {
-		s.runner = runner
-	}
-	s.tables = newTab
-	s.bumpEpoch(changed, base)
-	return diff.EnergyJ, diff.Bytes, nil
-}
-
 // ExcisedNodes returns the sources currently excised by the quarantine
 // loop, ascending.
-func (s *ResilientSession) ExcisedNodes() []NodeID {
-	out := make([]NodeID, 0, len(s.excised))
-	for n := range s.excised {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (s *ResilientSession) ExcisedNodes() []NodeID { return sortedIDs(s.excised) }
 
 // Excisions returns every excision event so far, in order; re-admitted
 // nodes carry their ReadmittedRound.

@@ -237,3 +237,84 @@ func TestMinDegreeRouterGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestTDMASurvivesReconfiguration pins that a scheduled session keeps its
+// frame across every reconfiguration, not just recovery (which
+// TestCollisionSoakCrashMidFrame covers): once the diffs of an excision,
+// re-admission or rejoin have landed, rounds run collision-free and every
+// destination is fresh again.
+func TestTDMASurvivesReconfiguration(t *testing.T) {
+	cases := []struct {
+		name   string
+		build  func(t *testing.T) (*ResilientSession, error)
+		rounds int
+		// events counts a step's reconfigurations; the row must see at
+		// least minEvents of them, all while scheduled.
+		events    func(st *ResilientStep) int
+		minEvents int
+	}{
+		{
+			name: "byzantine excision and readmission",
+			build: func(t *testing.T) (*ResilientSession, error) {
+				net, specs, gen, _ := byzantineFixture(t)
+				inj, _, _ := byzantineInjector(909)
+				inj.WithCollisions(0)
+				return NewResilientSession(net, specs, RouterReversePath, gen, inj, ResilientConfig{Byzantine: &ByzantineConfig{}})
+			},
+			rounds:    30,
+			events:    func(st *ResilientStep) int { return len(st.Excisions) + len(st.Readmissions) },
+			minEvents: 8, // six excisions, two re-admissions
+		},
+		{
+			name: "crash and revive",
+			build: func(t *testing.T) (*ResilientSession, error) {
+				net, specs, gen := chaosFixture(t, 7)
+				x := specs[0].Func.Sources()[0]
+				inj := NewFaultInjector(7).WithCollisions(0).Crash(x, 4).Revive(x, 12)
+				return NewResilientSession(net, specs, RouterReversePath, gen, inj, ResilientConfig{})
+			},
+			rounds:    20,
+			events:    func(st *ResilientStep) int { return len(st.Rejoins) },
+			minEvents: 1,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := tc.build(t)
+			if err != nil {
+				t.Fatal(err)
+			}
+			events, checked := 0, 0
+			reconfigured, settled := false, false
+			for r := 0; r < tc.rounds; r++ {
+				step, err := s.Step()
+				if err != nil {
+					t.Fatalf("round %d: %v", r, err)
+				}
+				if settled {
+					checked++
+					if step.Collisions != 0 || step.Fresh != len(step.Reports) || len(step.Reports) == 0 {
+						t.Fatalf("round %d after a reconfiguration: %d collisions, %d/%d fresh (TDMA %v)",
+							r, step.Collisions, step.Fresh, len(step.Reports), step.TDMA)
+					}
+				}
+				if n := tc.events(step); n > 0 {
+					if !step.TDMA {
+						t.Fatalf("round %d: reconfiguration before the TDMA switch", r)
+					}
+					events += n
+					reconfigured = true
+				}
+				// A reconfiguration's diffs land on nodes at the end of a
+				// step; the rounds after that run on the new plan.
+				settled = reconfigured && step.EpochLag == 0
+			}
+			if events < tc.minEvents {
+				t.Fatalf("%d reconfigurations under TDMA, want at least %d", events, tc.minEvents)
+			}
+			if checked == 0 {
+				t.Fatal("no round ran after a settled reconfiguration")
+			}
+		})
+	}
+}

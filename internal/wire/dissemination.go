@@ -100,6 +100,10 @@ type DisseminationCost struct {
 	// EnergyJ prices every fragment's unicast transmissions along the
 	// base-station routing tree.
 	EnergyJ float64
+	// Changed lists every node whose table blob changed, ascending,
+	// reachable from the base or not. CostUpdate fills it; CostTables
+	// leaves it nil.
+	Changed []graph.NodeID
 }
 
 // CostTables prices disseminating the given nodes' blobs from the base
@@ -176,7 +180,12 @@ func CostUpdate(oldInst, newInst *plan.Instance, oldT, newT *plan.Tables, model 
 			reachable = append(reachable, id)
 		}
 	}
-	return CostTables(newInst, newT, model, base, reachable)
+	cost, err := CostTables(newInst, newT, model, base, reachable)
+	if err != nil {
+		return nil, err
+	}
+	cost.Changed = changed
+	return cost, nil
 }
 
 func bytesEqual(a, b []byte) bool {

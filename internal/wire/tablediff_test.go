@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"reflect"
 	"testing"
 
 	"m2m/internal/agg"
@@ -70,7 +71,7 @@ func TestTableDiffRejects(t *testing.T) {
 }
 
 func TestChangedNodesIdenticalPlansChangeNothing(t *testing.T) {
-	inst, _, tab := planFixture(t, 6)
+	inst, p, tab := planFixture(t, 6)
 	changed, err := ChangedNodes(inst, inst, tab, tab)
 	if err != nil {
 		t.Fatal(err)
@@ -84,8 +85,32 @@ func TestChangedNodesIdenticalPlansChangeNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cost.Nodes != 0 || cost.Bytes != 0 || cost.EnergyJ != 0 {
+	if cost.Nodes != 0 || cost.Bytes != 0 || cost.EnergyJ != 0 || len(cost.Changed) != 0 {
 		t.Fatalf("no-op update priced as %+v", cost)
+	}
+
+	// A real diff — one destination leaves the workload — reports exactly
+	// ChangedNodes' set, so callers need no second diff.
+	newInst, err := plan.NewInstance(inst.Net, inst.Router, inst.Specs[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	newPlan, _, err := plan.Reoptimize(p, newInst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newTab, err := newPlan.BuildTables()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if changed, err = ChangedNodes(inst, newInst, tab, newTab); err != nil {
+		t.Fatal(err)
+	}
+	if cost, err = CostUpdate(inst, newInst, tab, newTab, radio.DefaultModel(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if len(changed) == 0 || !reflect.DeepEqual(cost.Changed, changed) {
+		t.Fatalf("CostUpdate changed %v, ChangedNodes %v", cost.Changed, changed)
 	}
 }
 

@@ -3,7 +3,7 @@ package m2m
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"m2m/internal/chaos"
 	"m2m/internal/failure"
@@ -507,30 +507,15 @@ func validateSessionInputs(net *Network, kind RouterKind, gen ReadingGenerator, 
 // in: it binds a fresh per-session engine (the session's battery ledger,
 // its own round counters and transmission state) to the compiled program.
 func newResilientSession(net *Network, specs []Spec, kind RouterKind, inst *Instance, prog *Program, gen ReadingGenerator, faults FaultSchedule, cfg ResilientConfig) (*ResilientSession, error) {
-	eng := prog.Bind(cfg.Battery, nil)
-	cfg = cfg.withDefaults()
-	var runner *sim.AsyncRunner
-	if cfg.Async != nil {
-		acfg := *cfg.Async
-		if acfg.MaxRetries == 0 {
-			acfg.MaxRetries = cfg.MaxRetries
-		}
-		var err error
-		if runner, err = sim.NewAsyncRunner(eng, acfg); err != nil {
-			return nil, err
-		}
-	}
 	s := &ResilientSession{
 		net:         net,
 		kind:        kind,
 		specs:       specs,
 		inst:        inst,
 		plan:        prog.Plan,
-		engine:      eng,
-		runner:      runner,
 		gen:         gen,
 		faults:      faults,
-		cfg:         cfg,
+		cfg:         cfg.withDefaults(),
 		origGraph:   net.Graph.Clone(),
 		origSpecs:   append([]Spec(nil), specs...),
 		values:      make(map[NodeID]float64),
@@ -542,6 +527,10 @@ func newResilientSession(net *Network, specs []Spec, kind RouterKind, inst *Inst
 		nodeEpoch:   make(map[NodeID]uint32),
 		pendingDiff: make(map[NodeID]bool),
 		quarantined: make(map[NodeID]bool),
+	}
+	var err error
+	if s.engine, s.runner, err = s.bind(prog, s.planEpoch); err != nil {
+		return nil, err
 	}
 	if cfg.Battery != nil {
 		s.prevSpent = make(map[NodeID]float64)
@@ -560,10 +549,7 @@ func newResilientSession(net *Network, specs []Spec, kind RouterKind, inst *Inst
 				srcSet[src] = true
 			}
 		}
-		for n := range srcSet {
-			s.monitored = append(s.monitored, n)
-		}
-		sort.Slice(s.monitored, func(i, j int) bool { return s.monitored[i] < s.monitored[j] })
+		s.monitored = sortedIDs(srcSet)
 		s.suspectRuns = make(map[NodeID]int)
 		s.cleanRuns = make(map[NodeID]int)
 		s.excised = make(map[NodeID]bool)
@@ -887,7 +873,7 @@ func (s *ResilientSession) Step() (*ResilientStep, error) {
 			condemned = append(condemned, n)
 		}
 	}
-	sort.Slice(condemned, func(i, j int) bool { return condemned[i] < condemned[j] })
+	slices.Sort(condemned)
 	for _, n := range condemned {
 		ev, err := s.recover(n)
 		if err != nil {
@@ -946,8 +932,8 @@ func (s *ResilientSession) Step() (*ResilientStep, error) {
 }
 
 // recover plans around a node declared permanently dead: graph surgery,
-// workload pruning, rerouting, incremental re-optimization, and priced
-// dissemination of the table diff.
+// workload pruning, and a replan whose table diff is priced from the
+// lowest survivor.
 func (s *ResilientSession) recover(dead NodeID) (*RecoveryEvent, error) {
 	g2, err := failure.RemoveNode(s.net.Graph, dead)
 	if err != nil {
@@ -957,89 +943,26 @@ func (s *ResilientSession) recover(dead NodeID) (*RecoveryEvent, error) {
 	if err != nil {
 		return nil, fmt.Errorf("m2m: cannot recover: %w", err)
 	}
-	net2 := &Network{Layout: s.net.Layout, Graph: g2, Radio: s.net.Radio}
-	newInst, err := s.newInstance(g2, pruned)
-	if err != nil {
-		return nil, err
-	}
-	recovered, stats, err := plan.ReoptimizeWithPrices(s.plan, newInst, s.prices)
-	if err != nil {
-		return nil, err
-	}
-	oldTab, err := s.currentTables()
-	if err != nil {
-		return nil, err
-	}
-	newTab, err := recovered.BuildTables()
-	if err != nil {
-		return nil, err
-	}
 	base, err := s.lowestAlive(dead)
 	if err != nil {
 		return nil, err
 	}
-	diff, err := wire.CostUpdate(s.inst, newInst, oldTab, newTab, s.net.Radio, base)
+	cost, stats, dropped, err := s.replan(g2, pruned, s.prices, base)
 	if err != nil {
 		return nil, err
 	}
-	changed, err := wire.ChangedNodes(s.inst, newInst, oldTab, newTab)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := sim.NewEngine(recovered, s.net.Radio, sim.Options{MergeMessages: true, Battery: s.cfg.Battery})
-	if err != nil {
-		return nil, err
-	}
-	var runner *sim.AsyncRunner
-	if s.runner != nil {
-		// Carry the surviving links' RTT estimators and the last-known
-		// value caches across the replan: the healed plan mostly reuses
-		// the same links, and stale destinations keep their age.
-		acfg := *s.cfg.Async
-		if acfg.MaxRetries == 0 {
-			acfg.MaxRetries = s.cfg.MaxRetries
-		}
-		if runner, err = sim.NewAsyncRunner(eng, acfg); err != nil {
-			return nil, err
-		}
-		runner.InheritState(s.runner)
-	}
-	if s.tdma {
-		// The healed plan needs its own frame; it rides the replan's table
-		// dissemination, which is priced below.
-		if _, err := installTDMA(eng, s.planEpoch+1); err != nil {
-			return nil, err
-		}
-	}
-
 	ev := &RecoveryEvent{
 		Dead:          dead,
 		Round:         s.round,
 		DetectRounds:  s.round - s.firstMiss[dead] + 1,
 		RecoverRounds: -1,
-		ReplanJ:       diff.EnergyJ,
-		ReplanBytes:   diff.Bytes,
+		ReplanJ:       cost.EnergyJ,
+		ReplanBytes:   cost.Bytes,
 		EdgesReused:   stats.EdgesReused,
 		EdgesSolved:   stats.EdgesSolved,
-	}
-	for _, d := range s.inst.Dests() {
-		if _, ok := newInst.SpecByDest[d]; !ok {
-			ev.DroppedDests = append(ev.DroppedDests, d)
-			delete(s.values, d)
-		}
-	}
-
-	s.net = net2
-	s.specs = pruned
-	s.inst = newInst
-	s.plan = recovered
-	s.engine = eng
-	if runner != nil {
-		s.runner = runner
+		DroppedDests:  dropped,
 	}
 	s.dead[dead] = true
-	s.tables = newTab
-	s.bumpEpoch(changed, base)
 	delete(s.misses, dead)
 	delete(s.firstMiss, dead)
 	delete(s.pendingDiff, dead)
@@ -1057,10 +980,6 @@ func (s *ResilientSession) recover(dead NodeID) (*RecoveryEvent, error) {
 // would have produced), and the session replans incrementally under a new
 // epoch whose diffs disseminate at the end of the step.
 func (s *ResilientSession) rejoin(n NodeID) error {
-	restore := func(err error) error {
-		s.dead[n] = true
-		return err
-	}
 	g2 := s.net.Graph.Clone()
 	if err := failure.RestoreNode(g2, s.origGraph, n, func(m NodeID) bool { return m != n && s.dead[m] }); err != nil {
 		return err
@@ -1068,65 +987,103 @@ func (s *ResilientSession) rejoin(n NodeID) error {
 	delete(s.dead, n)
 	specs, err := s.rebuildSpecs()
 	if err != nil {
-		return restore(fmt.Errorf("m2m: cannot rejoin node %d: %w", n, err))
+		s.dead[n] = true
+		return fmt.Errorf("m2m: cannot rejoin node %d: %w", n, err)
 	}
-	net2 := &Network{Layout: s.net.Layout, Graph: g2, Radio: s.net.Radio}
-	newInst, err := s.newInstance(g2, specs)
-	if err != nil {
-		return restore(err)
+	base, err := s.lowestAlive(noNode)
+	if err == nil {
+		_, _, _, err = s.replan(g2, specs, s.prices, base)
 	}
-	recovered, _, err := plan.ReoptimizeWithPrices(s.plan, newInst, s.prices)
 	if err != nil {
-		return restore(err)
+		s.dead[n] = true
+	}
+	return err
+}
+
+// replan moves the session onto workload specs over graph g under the
+// given node prices, as one transaction: route the new instance, re-solve
+// only the edges whose inputs changed (Corollary 1), diff the tables and
+// price the update from base, compile and bind the new program, then
+// commit and bump the epoch so the changed nodes are owed their diffs.
+// Nothing is committed unless every step succeeds. It returns the priced
+// diff, the re-optimization stats, and the destinations that left the
+// workload (their values are dropped).
+func (s *ResilientSession) replan(g *graph.Undirected, specs []Spec, prices map[NodeID]int64, base NodeID) (*wire.DisseminationCost, *plan.UpdateStats, []NodeID, error) {
+	inst, err := s.newInstance(g, specs)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	p, stats, err := plan.ReoptimizeWithPrices(s.plan, inst, prices)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	oldTab, err := s.currentTables()
 	if err != nil {
-		return restore(err)
+		return nil, nil, nil, err
 	}
-	newTab, err := recovered.BuildTables()
+	newTab, err := p.BuildTables()
 	if err != nil {
-		return restore(err)
+		return nil, nil, nil, err
 	}
-	changed, err := wire.ChangedNodes(s.inst, newInst, oldTab, newTab)
+	cost, err := wire.CostUpdate(s.inst, inst, oldTab, newTab, s.net.Radio, base)
 	if err != nil {
-		return restore(err)
+		return nil, nil, nil, err
 	}
-	eng, err := sim.NewEngine(recovered, s.net.Radio, sim.Options{MergeMessages: true, Battery: s.cfg.Battery})
+	prog, err := CompileProgram(s.net, p)
 	if err != nil {
-		return restore(err)
+		return nil, nil, nil, err
 	}
+	eng, runner, err := s.bind(prog, s.planEpoch+1)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+
+	var dropped []NodeID
+	for _, d := range s.inst.Dests() {
+		if _, ok := inst.SpecByDest[d]; !ok {
+			dropped = append(dropped, d)
+			delete(s.values, d)
+		}
+	}
+	s.net = &Network{Layout: s.net.Layout, Graph: g, Radio: s.net.Radio}
+	s.specs = specs
+	s.inst = inst
+	s.plan = p
+	s.engine = eng
+	s.runner = runner
+	s.prices = prices
+	s.tables = newTab
+	s.bumpEpoch(cost.Changed, base)
+	return cost, stats, dropped, nil
+}
+
+// bind gives prog the session's runtime: the battery ledger, an async
+// runner (async sessions only) that inherits the current runner's RTT
+// estimators and last-known value caches — a replanned plan mostly reuses
+// the same links, and stale destinations keep their age — and, once the
+// session has switched to scheduled transmission, a TDMA frame of its own
+// stamped with epoch. The frame rides the replan's already-priced table
+// dissemination.
+func (s *ResilientSession) bind(prog *Program, epoch uint32) (*sim.Engine, *sim.AsyncRunner, error) {
+	eng := prog.Bind(s.cfg.Battery, nil)
 	var runner *sim.AsyncRunner
-	if s.runner != nil {
+	if s.cfg.Async != nil {
 		acfg := *s.cfg.Async
 		if acfg.MaxRetries == 0 {
 			acfg.MaxRetries = s.cfg.MaxRetries
 		}
+		var err error
 		if runner, err = sim.NewAsyncRunner(eng, acfg); err != nil {
-			return restore(err)
+			return nil, nil, err
 		}
 		runner.InheritState(s.runner)
 	}
 	if s.tdma {
-		if _, err := installTDMA(eng, s.planEpoch+1); err != nil {
-			return restore(err)
+		if _, err := installTDMA(eng, epoch); err != nil {
+			return nil, nil, err
 		}
 	}
-	base, err := s.lowestAlive(noNode)
-	if err != nil {
-		return restore(err)
-	}
-
-	s.net = net2
-	s.specs = specs
-	s.inst = newInst
-	s.plan = recovered
-	s.engine = eng
-	if runner != nil {
-		s.runner = runner
-	}
-	s.tables = newTab
-	s.bumpEpoch(changed, base)
-	return nil
+	return eng, runner, nil
 }
 
 // beaconAttemptBase offsets the delivery-draw attempt numbers beacon hops
@@ -1245,61 +1202,13 @@ func (s *ResilientSession) evacuate(dying []NodeID, step *ResilientStep) error {
 	for _, n := range dying {
 		s.evacuated[n] = true
 	}
-	prices := s.energyPrices()
-	newInst, err := s.newInstance(s.net.Graph, s.specs)
-	if err != nil {
-		return err
-	}
-	replanned, _, err := plan.ReoptimizeWithPrices(s.plan, newInst, prices)
-	if err != nil {
-		return err
-	}
-	oldTab, err := s.currentTables()
-	if err != nil {
-		return err
-	}
-	newTab, err := replanned.BuildTables()
-	if err != nil {
-		return err
-	}
-	changed, err := wire.ChangedNodes(s.inst, newInst, oldTab, newTab)
-	if err != nil {
-		return err
-	}
 	base, err := s.lowestAlive(noNode)
 	if err != nil {
 		return err
 	}
-	eng, err := sim.NewEngine(replanned, s.net.Radio, sim.Options{MergeMessages: true, Battery: s.cfg.Battery})
-	if err != nil {
+	if _, _, _, err := s.replan(s.net.Graph, s.specs, s.energyPrices(), base); err != nil {
 		return err
 	}
-	var runner *sim.AsyncRunner
-	if s.runner != nil {
-		acfg := *s.cfg.Async
-		if acfg.MaxRetries == 0 {
-			acfg.MaxRetries = s.cfg.MaxRetries
-		}
-		if runner, err = sim.NewAsyncRunner(eng, acfg); err != nil {
-			return err
-		}
-		runner.InheritState(s.runner)
-	}
-	if s.tdma {
-		if _, err := installTDMA(eng, s.planEpoch+1); err != nil {
-			return err
-		}
-	}
-
-	s.inst = newInst
-	s.plan = replanned
-	s.engine = eng
-	if runner != nil {
-		s.runner = runner
-	}
-	s.prices = prices
-	s.tables = newTab
-	s.bumpEpoch(changed, base)
 	step.Evacuations += len(dying)
 	return nil
 }
@@ -1387,11 +1296,6 @@ func (s *ResilientSession) disseminate(step *ResilientStep) error {
 	if err != nil {
 		return err
 	}
-	nodes := make([]NodeID, 0, len(s.pendingDiff))
-	for n := range s.pendingDiff {
-		nodes = append(nodes, n)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
 	tab, err := s.currentTables()
 	if err != nil {
 		return err
@@ -1400,7 +1304,7 @@ func (s *ResilientSession) disseminate(step *ResilientStep) error {
 	if s.faults != nil || s.cfg.Battery != nil {
 		sched = epochFence{s}
 	}
-	dres, err := wire.DisseminateTables(s.inst, tab, s.net.Radio, base, nodes, s.planEpoch, sched, s.round, s.cfg.MaxRetries)
+	dres, err := wire.DisseminateTables(s.inst, tab, s.net.Radio, base, sortedIDs(s.pendingDiff), s.planEpoch, sched, s.round, s.cfg.MaxRetries)
 	if err != nil {
 		return err
 	}
@@ -1522,14 +1426,7 @@ func (s *ResilientSession) Recoveries() []*RecoveryEvent {
 }
 
 // DeadNodes returns the nodes declared permanently failed, ascending.
-func (s *ResilientSession) DeadNodes() []NodeID {
-	out := make([]NodeID, 0, len(s.dead))
-	for n := range s.dead {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (s *ResilientSession) DeadNodes() []NodeID { return sortedIDs(s.dead) }
 
 // Workload returns the current (possibly pruned) workload.
 func (s *ResilientSession) Workload() []Spec {
@@ -1540,7 +1437,8 @@ func (s *ResilientSession) Workload() []Spec {
 func (s *ResilientSession) CurrentPlan() *Plan { return s.plan }
 
 // PlanEpoch returns the epoch of the plan the session is executing; it
-// starts at 1 and bumps on every replan (recovery or rejoin).
+// starts at 1 and bumps on every replan: recovery, rejoin, evacuation,
+// excision and re-admission.
 func (s *ResilientSession) PlanEpoch() uint32 { return s.planEpoch }
 
 // TDMAActive reports whether the session has switched to scheduled
@@ -1554,25 +1452,11 @@ func (s *ResilientSession) CollisionRate() float64 { return s.collRate }
 // QuarantinedNodes returns the nodes held in quarantine after the last
 // round, ascending: alive but severed from the base station, so exempt
 // from condemnation until the cut heals.
-func (s *ResilientSession) QuarantinedNodes() []NodeID {
-	out := make([]NodeID, 0, len(s.quarantined))
-	for n := range s.quarantined {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (s *ResilientSession) QuarantinedNodes() []NodeID { return sortedIDs(s.quarantined) }
 
 // EvacuatedNodes returns the nodes the session has proactively evacuated
 // so far, ascending (including any that later died anyway).
-func (s *ResilientSession) EvacuatedNodes() []NodeID {
-	out := make([]NodeID, 0, len(s.evacuated))
-	for n := range s.evacuated {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (s *ResilientSession) EvacuatedNodes() []NodeID { return sortedIDs(s.evacuated) }
 
 // EnergyPrices returns a copy of the per-node energy prices the planner
 // is currently solving under, or nil before the first evacuation.
@@ -1590,11 +1474,14 @@ func (s *ResilientSession) EnergyPrices() map[NodeID]int64 {
 // EpochLaggingNodes returns the alive nodes still owed the current plan
 // epoch's tables, ascending; every edge they touch is fenced until their
 // diff lands.
-func (s *ResilientSession) EpochLaggingNodes() []NodeID {
-	out := make([]NodeID, 0, len(s.pendingDiff))
-	for n := range s.pendingDiff {
+func (s *ResilientSession) EpochLaggingNodes() []NodeID { return sortedIDs(s.pendingDiff) }
+
+// sortedIDs returns the members of a node set, ascending.
+func sortedIDs(m map[NodeID]bool) []NodeID {
+	out := make([]NodeID, 0, len(m))
+	for n := range m {
 		out = append(out, n)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

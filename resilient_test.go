@@ -19,7 +19,7 @@ func (g fixedGen) Next() map[NodeID]float64 {
 	return out
 }
 
-func chaosFixture(t *testing.T, seed int64) (*Network, []Spec, fixedGen) {
+func chaosFixture(t testing.TB, seed int64) (*Network, []Spec, fixedGen) {
 	t.Helper()
 	net := RandomNetwork(50, seed)
 	specs, err := net.GenerateWorkload(WorkloadConfig{
