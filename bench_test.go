@@ -8,7 +8,7 @@ package m2m
 
 import (
 	"context"
-
+	"runtime/debug"
 	"testing"
 
 	"m2m/internal/experiments"
@@ -113,7 +113,7 @@ func BenchmarkCollision(b *testing.B) { benchExperiment(b, "collision") }
 // evalSetup builds the paper's 68-node evaluation network and a workload
 // instance over it once, so round benchmarks don't pay for (or re-build)
 // the topology twice.
-func evalSetup(b *testing.B, destFrac float64) (*Network, *Instance) {
+func evalSetup(b testing.TB, destFrac float64) (*Network, *Instance) {
 	b.Helper()
 	net := GreatDuckIsland()
 	specs, err := net.GenerateWorkload(WorkloadConfig{
@@ -241,7 +241,7 @@ func BenchmarkVertexCover(b *testing.B) {
 
 // benchEngine builds the optimal-plan engine and a full reading set for
 // the round benchmarks.
-func benchEngine(b *testing.B) (*sim.Engine, map[NodeID]float64) {
+func benchEngine(b testing.TB) (*sim.Engine, map[NodeID]float64) {
 	b.Helper()
 	net, inst := evalSetup(b, 0.2)
 	p, err := Optimize(inst)
@@ -298,6 +298,34 @@ func BenchmarkLossyRound(b *testing.B) {
 		if _, err := eng.RunLossy(i, readings, nil, 3); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// raceEnabled is set by race_test.go under the race detector.
+var raceEnabled bool
+
+// TestLossyRoundAllocs caps the allocations of a fault-free lossy round —
+// the path every session round takes — at the count measured on the
+// benchmark fixture: the result, its maps and the reports, with no
+// per-record payload copies. GC is off while measuring so the scratch
+// pool is never emptied.
+func TestLossyRoundAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random share of Puts under the race detector")
+	}
+	eng, readings := benchEngine(t)
+	if _, err := eng.RunLossy(0, readings, nil, 3); err != nil {
+		t.Fatal(err)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := eng.RunLossy(0, readings, nil, 3); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const ceiling = 119
+	if allocs > ceiling {
+		t.Fatalf("fault-free RunLossy allocated %v objects/round, want <= %d", allocs, ceiling)
 	}
 }
 

@@ -349,6 +349,25 @@ func TestBatteryMidARQDepletion(t *testing.T) {
 		t.Fatalf("depleted sender still active: energy=%v dropped=%d attempts=%d",
 			res2.EnergyJ, res2.Dropped, res2.Outcomes[0].Attempts)
 	}
+
+	// A sender alive at round start that cannot afford even its first
+	// attempt transmits nothing: no attempts, retries or energy booked.
+	poor, _ := NewBattery(2, 1e6)
+	if err := poor.SetCapacity(0, 0.5*txJ); err != nil {
+		t.Fatal(err)
+	}
+	eng3, err := NewEngine(p, radio.DefaultModel(), Options{MergeMessages: true, Battery: poor})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res3, err := eng3.RunLossy(0, readings, nil, maxRetries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res3.Outcomes[0].Attempts != 0 || res3.Transmissions != 0 || res3.Retries != 0 || len(res3.PerNodeJ) != 0 {
+		t.Fatalf("first-attempt brown-out booked attempts=%d transmissions=%d retries=%d per-node=%v",
+			res3.Outcomes[0].Attempts, res3.Transmissions, res3.Retries, res3.PerNodeJ)
+	}
 }
 
 // TestBatteryReceiverBrownOut depletes a receiver on the incoming frame:

@@ -237,11 +237,10 @@ const (
 // simulated, in order. Executors replay these outcomes one-for-one with
 // their own attempts instead of consulting Deliver themselves.
 type collisionPlan struct {
-	tries     [][]byte
-	delivered []bool
-	slotOf    []int // TxTDMA first-attempt slots (nil otherwise)
-	maxBody   int
-	mode      TxMode
+	tries   [][]byte
+	slotOf  []int // TxTDMA first-attempt slots (nil otherwise)
+	maxBody int
+	mode    TxMode
 }
 
 // outcome returns the fate of the try-th attempt of message mi. Attempts
@@ -266,6 +265,11 @@ func attemptSalt(mi, try int) int {
 	return mi*64 + try
 }
 
+// backoffWindow is the binary exponential backoff window, in slots, after
+// the try-th attempt of a message failed: 2 doubling per failure, capped
+// at 64.
+func backoffWindow(try int) int { return 2 << min(try, 5) }
+
 // collisionPlanFor resolves the round's contention, or returns nil when
 // the fault schedule does not enable collisions. edgeOK is the epoch
 // fence view (nil = all edges current): a fenced edge's frames are heard
@@ -285,10 +289,9 @@ func (e *Engine) collisionPlanFor(round int, faults Faults, maxRetries int, edge
 	topo := e.asyncTopology()
 	n := len(e.messages)
 	p := &collisionPlan{
-		tries:     make([][]byte, n),
-		delivered: make([]bool, n),
-		maxBody:   ct.maxBody,
-		mode:      e.txMode,
+		tries:   make([][]byte, n),
+		maxBody: ct.maxBody,
+		mode:    e.txMode,
 	}
 	if e.txMode == TxTDMA {
 		p.slotOf = e.txSched.SlotOf
@@ -411,7 +414,6 @@ func (e *Engine) collisionPlanFor(round int, faults Faults, maxRetries int, edge
 			}
 			p.tries[mi] = append(p.tries[mi], oc)
 			if oc == coDelivered && !fenced[mi] {
-				p.delivered[mi] = true
 				finished[mi] = true
 				pending--
 				resolve(mi, s)
@@ -427,11 +429,7 @@ func (e *Engine) collisionPlanFor(round int, faults Faults, maxRetries int, edge
 			}
 			next := s + 1
 			if e.txMode != TxUnscheduled {
-				window := 2
-				for i := 0; i < try && i < 5; i++ {
-					window *= 2
-				}
-				next += cf.BackoffSlots(round, edge, attemptSalt(mi, try), window)
+				next += cf.BackoffSlots(round, edge, attemptSalt(mi, try), backoffWindow(try))
 			}
 			want[mi] = next
 		}

@@ -2,7 +2,10 @@ package sim
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"m2m/internal/chaos"
@@ -179,9 +182,16 @@ func TestEpochFenceAsync(t *testing.T) {
 	validateAll(t, async)
 }
 
-// The chaos determinism contract across executors: one injector seed fixes
-// every message's fate, so the synchronous and asynchronous executors
-// agree outcome for outcome, and re-runs are identical.
+// The chaos determinism contract across executors: one schedule seed fixes
+// every message's fate, so re-runs are identical and the synchronous and
+// zero-latency asynchronous executors agree on every LossyResult field —
+// counters, outcomes with their payload sizes, per-node energy (key set
+// included), values and reports — under loss and crashes, contention, an
+// epoch fence and a Byzantine source. Round EnergyJ agrees to rounding:
+// the async executor books a message's attempts only once its round ends.
+// Battery ledgers are excluded: the executors debit in different orders
+// (planned order versus event time), so brown-out points, and with them
+// outcomes, can differ.
 func TestChaosCrossExecutorDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	inst := buildInstance(t, rng, 40, 6, 6, false)
@@ -194,86 +204,47 @@ func TestChaosCrossExecutorDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	readings := randomReadings(rng, inst.Net.Len())
-	mkInj := func() *chaos.Injector {
-		return chaos.New(77).WithUniformLoss(0.25).Crash(11, 2)
-	}
 	const maxRetries = 3
-	for r := 0; r < 4; r++ {
-		a, err := eng.RunLossy(r, readings, mkInj(), maxRetries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := eng.RunLossy(r, readings, mkInj(), maxRetries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		async, err := eng.RunAsync(r, readings, mkInj(), AsyncConfig{MaxRetries: maxRetries})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, other := range []*LossyResult{b, &async.LossyResult} {
-			if len(other.Outcomes) != len(a.Outcomes) {
-				t.Fatalf("round %d: %d outcomes vs %d", r, len(other.Outcomes), len(a.Outcomes))
-			}
-			for i, o := range a.Outcomes {
-				oo := other.Outcomes[i]
-				if oo.Edge != o.Edge || oo.Delivered != o.Delivered || oo.Attempts != o.Attempts {
-					t.Fatalf("round %d message %d: %+v vs %+v", r, i, oo, o)
-				}
-			}
-			for d, rep := range a.Reports {
-				orep := other.Reports[d]
-				if orep == nil || orep.Fresh != rep.Fresh || orep.Starved != rep.Starved ||
-					len(orep.Missing) != len(rep.Missing) {
-					t.Fatalf("round %d dest %d: report %+v vs %+v", r, d, orep, rep)
-				}
-			}
-			for d, v := range a.Values {
-				if other.Values[d] != v {
-					t.Fatalf("round %d dest %d: value %v vs %v", r, d, other.Values[d], v)
-				}
-			}
-		}
-		if a.EnergyJ != b.EnergyJ || a.Retries != b.Retries || a.Dropped != b.Dropped {
-			t.Fatalf("round %d: same seed, different sync telemetry", r)
-		}
+	clean, err := eng.RunLossy(0, readings, nil, maxRetries)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Same contract with the collision channel switched on: both executors
-	// replay the same contention oracle, so per-message fates, collision
-	// counts, and values agree exactly under loss, crash, and contention
-	// at once.
-	mkColl := func() *chaos.Injector {
-		return chaos.New(77).WithUniformLoss(0.15).WithCollisions(0.3).Crash(11, 2)
+	lagging := map[graph.NodeID]uint32{
+		clean.Outcomes[0].Edge.From:                     3,
+		clean.Outcomes[len(clean.Outcomes)/2].Edge.From: 3,
 	}
-	for r := 0; r < 4; r++ {
-		a, err := eng.RunLossy(r, readings, mkColl(), maxRetries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := eng.RunLossy(r, readings, mkColl(), maxRetries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		async, err := eng.RunAsync(r, readings, mkColl(), AsyncConfig{MaxRetries: maxRetries})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Collisions != b.Collisions || a.Collisions != async.Collisions {
-			t.Fatalf("round %d: collision counts diverge: %d / %d / %d",
-				r, a.Collisions, b.Collisions, async.Collisions)
-		}
-		for _, other := range []*LossyResult{b, &async.LossyResult} {
-			for i, o := range a.Outcomes {
-				oo := other.Outcomes[i]
-				if oo.Edge != o.Edge || oo.Delivered != o.Delivered || oo.Attempts != o.Attempts {
-					t.Fatalf("round %d message %d: %+v vs %+v", r, i, oo, o)
-				}
+	liar := inst.Specs[0].Func.Sources()[0]
+	for _, tc := range []struct {
+		name   string
+		faults func() Faults
+	}{
+		{"loss+crash", func() Faults { return chaos.New(77).WithUniformLoss(0.25).Crash(11, 2) }},
+		{"collision", func() Faults { return chaos.New(77).WithUniformLoss(0.15).WithCollisions(0.3).Crash(11, 2) }},
+		{"fence", func() Faults {
+			return epochFaults{base: chaos.New(77).WithUniformLoss(0.2), epoch: 4, lagging: lagging}
+		}},
+		{"byzantine", func() Faults {
+			return chaos.New(77).WithUniformLoss(0.2).WithByzantine(liar, chaos.ByzOffset, 100, 0, chaos.Forever)
+		}},
+	} {
+		for r := 0; r < 4; r++ {
+			a, err := eng.RunLossy(r, readings, tc.faults(), maxRetries)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for d, v := range a.Values {
-				if other.Values[d] != v {
-					t.Fatalf("round %d dest %d: value %v vs %v", r, d, other.Values[d], v)
-				}
+			b, err := eng.RunLossy(r, readings, tc.faults(), maxRetries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameLossy(b, a); err != nil {
+				t.Fatalf("%s round %d: same seed, different sync rounds: %v", tc.name, r, err)
+			}
+			async, err := eng.RunAsync(r, readings, tc.faults(), AsyncConfig{MaxRetries: maxRetries})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameAcrossExecutors(&async.LossyResult, a); err != nil {
+				t.Fatalf("%s round %d: async vs sync: %v", tc.name, r, err)
 			}
 		}
 	}
@@ -300,4 +271,44 @@ func TestChaosCrossExecutorDeterminism(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sameAcrossExecutors compares an asynchronous round with the synchronous
+// one: everything exactly, except EnergyJ (to 1e-12 relative) and the
+// report fields only the asynchronous executor fills.
+func sameAcrossExecutors(got, want *LossyResult) error {
+	if got.Messages != want.Messages || got.Transmissions != want.Transmissions || got.Retries != want.Retries ||
+		got.Dropped != want.Dropped || got.EpochDropped != want.EpochDropped || got.Collisions != want.Collisions {
+		return fmt.Errorf("counters %+v, want %+v",
+			[]int{got.Messages, got.Transmissions, got.Retries, got.Dropped, got.EpochDropped, got.Collisions},
+			[]int{want.Messages, want.Transmissions, want.Retries, want.Dropped, want.EpochDropped, want.Collisions})
+	}
+	if !reflect.DeepEqual(got.Outcomes, want.Outcomes) {
+		return fmt.Errorf("outcomes %+v, want %+v", got.Outcomes, want.Outcomes)
+	}
+	if !reflect.DeepEqual(got.PerNodeJ, want.PerNodeJ) {
+		return fmt.Errorf("per-node energy %v, want %v", got.PerNodeJ, want.PerNodeJ)
+	}
+	if math.Abs(got.EnergyJ-want.EnergyJ) > 1e-12*math.Abs(want.EnergyJ) {
+		return fmt.Errorf("energy %v, want %v", got.EnergyJ, want.EnergyJ)
+	}
+	if len(got.Values) != len(want.Values) {
+		return fmt.Errorf("%d values, want %d", len(got.Values), len(want.Values))
+	}
+	for d, v := range want.Values {
+		if gv, ok := got.Values[d]; !ok || math.Float64bits(gv) != math.Float64bits(v) {
+			return fmt.Errorf("destination %d = %v, want %v", d, gv, v)
+		}
+	}
+	if len(got.Reports) != len(want.Reports) {
+		return fmt.Errorf("%d reports, want %d", len(got.Reports), len(want.Reports))
+	}
+	for d, w := range want.Reports {
+		g := got.Reports[d]
+		if g == nil || g.Dest != w.Dest || g.Fresh != w.Fresh || g.Starved != w.Starved || g.DestDead != w.DestDead ||
+			!reflect.DeepEqual(g.Covered, w.Covered) || !reflect.DeepEqual(g.Missing, w.Missing) {
+			return fmt.Errorf("report %+v, want %+v", g, w)
+		}
+	}
+	return nil
 }

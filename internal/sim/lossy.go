@@ -21,13 +21,6 @@ type Faults interface {
 	Deliver(round int, e routing.Edge, attempt int) bool
 }
 
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // noFaults is the identity schedule: every transmission arrives.
 type noFaults struct{}
 
@@ -142,19 +135,24 @@ func (r *DeliveryReport) Validate() error {
 }
 
 // carriedRaw and carriedRec are a message's payload snapshot: the raw
-// values and partial records actually available at the sender when the
-// message (first) transmits. Both lossy executors share them; slot is the
-// compiled slot the payload lands in at the receiver, and cov the covered
-// sources as a dense bitset over the compiled source order.
+// values and partial records available at the sender when the message
+// (first) transmits. slot is the compiled slot the payload lands in at the
+// receiver; a record's n values sit at pay[off:] and its covered sources,
+// a dense bitset over the compiled source order, at payCov[cov:].
 type carriedRaw struct {
 	slot int32
 	val  float64
 }
 
 type carriedRec struct {
-	slot int32
-	rec  agg.Record
-	cov  []uint64
+	slot, off, n, cov int32
+}
+
+// contrib is one delivered partial record at a record slot, tagged with
+// the planned index of the message that carried it.
+type contrib struct {
+	msg int32
+	rec carriedRec
 }
 
 // EdgeOutcome is the observable fate of one planned message: how many
@@ -225,219 +223,338 @@ func (e *Engine) RunLossy(round int, readings map[graph.NodeID]float64, faults F
 	if maxRetries < 0 {
 		return nil, fmt.Errorf("sim: negative retry budget %d", maxRetries)
 	}
+	res := &LossyResult{}
+	var r lossyRound
+	if err := e.beginLossy(&r, round, readings, faults, maxRetries, res); err != nil {
+		return nil, err
+	}
+	defer r.end()
+	st := r.st
+	for mi, msg := range e.messages {
+		edge := e.units[msg[0]].Edge
+		if r.down(edge.From) {
+			// Dead or depleted sender: silence, no energy anywhere.
+			r.settle(edge, 0, 0, 0, false)
+			continue
+		}
+		raws, recs, body := r.snapshot(mi, st.raws[:0], st.recs[:0])
+		st.raws, st.recs = raws, recs
+
+		// Stop-and-wait: transmit until delivered or the budget runs out.
+		// Under a collision schedule the budget is the oracle's resolved
+		// attempts, replayed one-for-one. A lost attempt costs the sender
+		// TX; the receiver pays RX only for the frames it hears. An
+		// epoch-fenced edge never delivers: the receiver hears the frame,
+		// pays RX, and discards it without acknowledging, so the sender
+		// burns its whole budget.
+		tries := maxRetries + 1
+		if r.cp != nil {
+			tries = len(r.cp.tries[mi])
+		}
+		fenced := !st.edgeOK[e.prog.msgEdge[mi]]
+		attempts, rx, delivered := 0, 0, false
+		for try := 0; try < tries; try++ {
+			if !r.transmit(edge.From, body) {
+				break // sender browned out mid-ARQ: remaining retries abandoned
+			}
+			attempts++
+			oc, _ := r.fate(mi, try, edge)
+			if oc == coLost || !r.hear(edge.To, body) {
+				continue
+			}
+			// Heard and paid for: a wreck then fails its checksum, a
+			// fenced frame is discarded.
+			rx++
+			if oc == coCollided {
+				continue
+			}
+			if fenced {
+				res.EpochDropped++
+				continue
+			}
+			delivered = true
+			break
+		}
+		if delivered {
+			r.deliver(mi, raws, recs)
+		}
+		r.settle(edge, attempts, rx, body, delivered)
+	}
+
+	// Final per-destination merge and delivery report; a destination
+	// is judged dead as of the round's end.
+	for fi := range e.prog.finals {
+		r.report(fi, r.down(e.prog.finals[fi].dest))
+	}
+	return res, nil
+}
+
+// lossyRound is the core both lossy executors share: one round's fault
+// schedule, scratch, resolved contention, and result books. RunLossy and
+// AsyncRunner.Run differ only in when attempts happen (planned order
+// versus an event clock); what an attempt costs, whether it arrives, how
+// a delivered payload folds, and how a destination is reported all live
+// here, so the two executors agree by construction.
+type lossyRound struct {
+	e      *Engine
+	c      *compiled
+	round  int
+	faults Faults
+	bat    *Battery
+	st     *lossyState
+	cp     *collisionPlan // nil unless the schedule enables collisions
+	res    *LossyResult
+}
+
+// beginLossy starts a round: it takes pooled scratch, evaluates the epoch
+// fence, resolves the round's contention, samples every live source
+// through the adversary, and initializes res. The fence, the oracle and
+// the adversary read faults itself, so a wrapper an executor puts around
+// the schedule cannot hide them. A successful begin must be paired with
+// end.
+func (e *Engine) beginLossy(r *lossyRound, round int, readings map[graph.NodeID]float64, faults Faults, maxRetries int, res *LossyResult) error {
 	if faults == nil {
 		faults = noFaults{}
 	}
-	bat := e.battery
-	down := func(n graph.NodeID) bool {
-		return faults.NodeDead(round, n) || (bat != nil && bat.Depleted(n))
-	}
 	c := e.prog
-	st := e.getLossyState()
-	defer e.putLossyState(st)
-	e.fillEdgeFence(st, faults)
-	cp, err := e.collisionPlanFor(round, faults, maxRetries, st.edgeOK)
+	*r = lossyRound{e: e, c: c, round: round, faults: faults, bat: e.battery, st: e.getLossyState(), res: res}
+	e.fillEdgeFence(r.st, faults)
+	cp, err := e.collisionPlanFor(round, faults, maxRetries, r.st.edgeOK)
 	if err != nil {
-		return nil, err
+		r.end()
+		return err
 	}
+	r.cp = cp
 	adv := e.adversaryFor(faults)
 	for i, slot := range c.srcSlot {
-		if !down(c.srcIDs[i]) {
-			v := readings[c.srcIDs[i]]
-			if adv != nil {
-				v = adv.CorruptReading(round, c.srcIDs[i], v)
-			}
-			st.raw[slot] = v
-			st.rawSet[slot] = true
-		}
-	}
-
-	res := &LossyResult{
-		Values:   make(map[graph.NodeID]float64, len(c.finals)),
-		Reports:  make(map[graph.NodeID]*DeliveryReport, len(c.finals)),
-		PerNodeJ: make(map[graph.NodeID]float64),
-		Messages: len(e.messages),
-	}
-
-	for mi, msg := range e.messages {
-		edge := e.units[msg[0]].Edge
-		out := EdgeOutcome{Edge: edge}
-		if down(edge.From) {
-			// Dead or depleted sender: silence, no energy anywhere.
-			res.Dropped++
-			res.Outcomes = append(res.Outcomes, out)
+		id := c.srcIDs[i]
+		if r.down(id) {
 			continue
 		}
+		v := readings[id]
+		if adv != nil {
+			v = adv.CorruptReading(round, id, v)
+		}
+		r.st.raw[slot] = v
+		r.st.rawSet[slot] = true
+	}
+	res.Values = make(map[graph.NodeID]float64, len(c.finals))
+	res.Reports = make(map[graph.NodeID]*DeliveryReport, len(c.finals))
+	res.Outcomes = make([]EdgeOutcome, 0, len(e.messages))
+	res.PerNodeJ = make(map[graph.NodeID]float64)
+	res.Messages = len(e.messages)
+	return nil
+}
 
-		// Gather the units whose content is available at the sender.
-		raws := st.raws[:0]
-		recs := st.recs[:0]
-		body := 0
-		for _, ui := range msg {
-			op := &c.ops[ui]
-			if op.kind == plan.UnitRaw {
-				if st.rawSet[op.from] {
-					raws = append(raws, carriedRaw{slot: op.to, val: st.raw[op.from]})
-					body += int(c.unitBytes[ui])
-				}
-				continue
-			}
-			tmp := st.tmp[:op.fnLen]
-			if assembleLossyInto(op.fn, op.ip, op.inputs, st, c, tmp, st.covTmp) {
-				recs = append(recs, carriedRec{
-					slot: op.out,
-					rec:  append(agg.Record(nil), tmp...),
-					cov:  append([]uint64(nil), st.covTmp...),
-				})
+// end returns the round's scratch to the pool.
+func (r *lossyRound) end() { r.e.putLossyState(r.st) }
+
+// down reports whether n is crashed or depleted.
+func (r *lossyRound) down(n graph.NodeID) bool {
+	return r.faults.NodeDead(r.round, n) || (r.bat != nil && r.bat.Depleted(n))
+}
+
+// snapshot appends message mi's payload — the units whose content is
+// available at the sender now — to raws and recs, and returns them with
+// the body size. Records are copied into the payload arena, so every
+// retransmission carries the same bytes whatever arrives later.
+func (r *lossyRound) snapshot(mi int, raws []carriedRaw, recs []carriedRec) ([]carriedRaw, []carriedRec, int) {
+	c, st := r.c, r.st
+	body := 0
+	for _, ui := range r.e.messages[mi] {
+		op := &c.ops[ui]
+		if op.kind == plan.UnitRaw {
+			if st.rawSet[op.from] {
+				raws = append(raws, carriedRaw{slot: op.to, val: st.raw[op.from]})
 				body += int(c.unitBytes[ui])
 			}
+			continue
 		}
-		st.raws, st.recs = raws, recs
-		out.BodyBytes = body
+		tmp := st.tmp[:op.fnLen]
+		if r.assemble(op.fn, op.ip, op.inputs, tmp) {
+			recs = append(recs, carriedRec{slot: op.out, off: int32(len(st.pay)), n: int32(len(tmp)), cov: int32(len(st.payCov))})
+			st.pay = append(st.pay, tmp...)
+			st.payCov = append(st.payCov, st.covTmp...)
+			body += int(c.unitBytes[ui])
+		}
+	}
+	return raws, recs, body
+}
 
-		// Stop-and-wait: transmit until delivered or the budget runs out.
-		// A lost attempt costs the sender TX; the receiver pays RX only
-		// for the attempts it actually hears. An epoch-fenced edge never
-		// delivers: the receiver hears the frame, pays RX, and discards it
-		// without acknowledging, so the sender burns its whole budget.
-		// With a ledger, each attempt debits the sender up front (a sender
-		// that cannot pay falls silent mid-window) and each heard frame
-		// debits the receiver (a receiver that cannot pay goes deaf).
-		txJ := e.Radio.TxJoules(body)
-		rxJ := e.Radio.RxJoules(body)
-		recvDead := down(edge.To)
-		eid := c.msgEdge[mi]
-		fenced := !st.edgeOK[eid]
-		heard := 0
-		wrecked := 0
-		if cp == nil {
-			for try := 0; try <= maxRetries; try++ {
-				if bat != nil && !bat.Spend(round, edge.From, txJ) {
-					break // sender browned out mid-ARQ: remaining retries abandoned
-				}
-				out.Attempts++
-				seq := int(st.attempt[eid])
-				st.attempt[eid]++
-				if !recvDead && faults.Deliver(round, edge, seq) {
-					if bat != nil && !bat.Spend(round, edge.To, rxJ) {
-						recvDead = true // receiver browned out: frame unheard
-						continue
-					}
-					if fenced {
-						heard++
-						continue
-					}
-					out.Delivered = true
-					break
-				}
-			}
-		} else {
-			// Replay the collision oracle's resolved attempts one-for-one.
-			// The oracle already drew channel loss and gated round-start
-			// liveness; the executor re-applies the battery gates, which
-			// the slot model cannot see.
-			for try := 0; try < len(cp.tries[mi]); try++ {
-				if bat != nil && !bat.Spend(round, edge.From, txJ) {
-					break
-				}
-				out.Attempts++
-				switch cp.tries[mi][try] {
-				case coCollided:
-					res.Collisions++
-					if recvDead {
-						continue // wreck unheard: TX wasted, nothing more
-					}
-					if bat != nil && !bat.Spend(round, edge.To, rxJ) {
-						recvDead = true
-						continue
-					}
-					wrecked++ // heard, paid for, destroyed by the checksum
-				case coDelivered:
-					if recvDead {
-						continue
-					}
-					if bat != nil && !bat.Spend(round, edge.To, rxJ) {
-						recvDead = true
-						continue
-					}
-					if fenced {
-						heard++
-						continue
-					}
-					out.Delivered = true
-				}
-			}
-		}
-		if out.Delivered && out.Attempts == 1 {
-			res.EnergyJ += e.Radio.UnicastJoules(body)
-		} else {
-			res.EnergyJ += float64(out.Attempts) * txJ
-			rx := wrecked
-			if out.Delivered {
-				rx++
-			} else {
-				rx += heard
-			}
-			res.EnergyJ += float64(rx) * rxJ
-		}
-		res.PerNodeJ[edge.From] += float64(out.Attempts) * txJ
-		if rx := wrecked + heard + b2i(out.Delivered); rx > 0 {
-			res.PerNodeJ[edge.To] += float64(rx) * rxJ
-		}
-		res.EpochDropped += heard
-		res.Transmissions += out.Attempts
-		res.Retries += out.Attempts - 1
+// transmit debits one attempt's TX at the sender; false means the sender
+// browned out and the attempt never happened.
+func (r *lossyRound) transmit(from graph.NodeID, body int) bool {
+	return r.bat == nil || r.bat.Spend(r.round, from, r.e.Radio.TxJoules(body))
+}
 
-		if out.Delivered {
-			for _, cr := range raws {
-				st.raw[cr.slot] = cr.val
-				st.rawSet[cr.slot] = true
+// hear reports whether a live receiver hears one frame, debiting its RX;
+// a receiver that cannot pay browns out and hears nothing.
+func (r *lossyRound) hear(to graph.NodeID, body int) bool {
+	return !r.down(to) && (r.bat == nil || r.bat.Spend(r.round, to, r.e.Radio.RxJoules(body)))
+}
+
+// fate resolves the try-th attempt of message mi on edge and returns its
+// channel outcome with the edge's wire attempt sequence. Under a collision
+// schedule it replays the oracle (which already drew loss and gated
+// round-start liveness) and counts collisions; otherwise it draws Deliver.
+// Receiver liveness and the battery are left to hear.
+func (r *lossyRound) fate(mi, try int, edge routing.Edge) (byte, int) {
+	eid := r.c.msgEdge[mi]
+	seq := int(r.st.attempt[eid])
+	r.st.attempt[eid]++
+	switch {
+	case r.cp != nil:
+		oc := r.cp.outcome(mi, try)
+		if oc == coCollided {
+			r.res.Collisions++
+		}
+		return oc, seq
+	case r.faults.Deliver(r.round, edge, seq):
+		return coDelivered, seq
+	}
+	return coLost, seq
+}
+
+// deliver merges message mi's payload at the receiver. A record slot's
+// contributions stay ascending by planned message index, so folds replay
+// the synchronous merge order whatever order the arrivals came in.
+func (r *lossyRound) deliver(mi int, raws []carriedRaw, recs []carriedRec) {
+	st := r.st
+	for _, cr := range raws {
+		st.raw[cr.slot] = cr.val
+		st.rawSet[cr.slot] = true
+	}
+	nc := contrib{msg: int32(mi)}
+	for _, cr := range recs {
+		nc.rec = cr
+		cs := append(st.contribs[cr.slot], nc)
+		i := len(cs) - 1
+		for i > 0 && cs[i-1].msg > nc.msg {
+			cs[i] = cs[i-1]
+			i--
+		}
+		cs[i] = nc
+		st.contribs[cr.slot] = cs
+	}
+}
+
+// settle books one planned message: its outcome, and — when the sender
+// transmitted — attempts·TX at the sender and rx·RX at the receiver for
+// every frame it heard (wrecks, fenced and duplicate copies included). A
+// clean unicast is priced as one, matching the fault-free engine.
+func (r *lossyRound) settle(edge routing.Edge, attempts, rx, body int, delivered bool) {
+	res := r.res
+	res.Outcomes = append(res.Outcomes, EdgeOutcome{Edge: edge, Attempts: attempts, Delivered: delivered, BodyBytes: body})
+	if !delivered {
+		res.Dropped++
+	}
+	if attempts == 0 {
+		return
+	}
+	res.Transmissions += attempts
+	res.Retries += attempts - 1
+	m := r.e.Radio
+	txJ, rxJ := m.TxJoules(body), m.RxJoules(body)
+	if delivered && attempts == 1 && rx == 1 {
+		res.EnergyJ += m.UnicastJoules(body)
+	} else {
+		res.EnergyJ += float64(attempts) * txJ
+		res.EnergyJ += float64(rx) * rxJ
+	}
+	res.PerNodeJ[edge.From] += float64(attempts) * txJ
+	if rx > 0 {
+		res.PerNodeJ[edge.To] += float64(rx) * rxJ
+	}
+}
+
+// report writes final fi's delivery report and, when anything arrived,
+// its value. The caller decides whether the destination is dead. finals
+// follow Dests() order and each source list is ascending, so the
+// covered/missing splits come out sorted without a sort.
+func (r *lossyRound) report(fi int, dead bool) *DeliveryReport {
+	fo := &r.c.finals[fi]
+	rep := &DeliveryReport{Dest: fo.dest}
+	r.res.Reports[fo.dest] = rep
+	if dead {
+		rep.DestDead = true
+		rep.Starved = true
+		rep.Missing = append([]graph.NodeID(nil), fo.sources...)
+		return rep
+	}
+	tmp := r.st.tmp[:fo.fnLen]
+	got := r.assemble(fo.fn, fo.ip, fo.inputs, tmp)
+	for j, s := range fo.sources {
+		if covHasBit(r.st.covTmp, fo.srcBits[j]) {
+			rep.Covered = append(rep.Covered, s)
+		} else {
+			rep.Missing = append(rep.Missing, s)
+		}
+	}
+	if !got {
+		rep.Starved = true
+		return rep
+	}
+	rep.Fresh = len(rep.Missing) == 0
+	r.res.Values[fo.dest] = fo.fn.Eval(tmp)
+	return rep
+}
+
+// assemble replays one compiled operand list under partial delivery:
+// absent operands are skipped, covered sources accumulate into covTmp,
+// and a record slot's contributions are folded in their own buffer first
+// and then merged in — the reference executor's exact association order,
+// which keeps fault-free rounds byte-identical to Run. It reports whether
+// anything was present.
+func (r *lossyRound) assemble(fn agg.Func, ip agg.InPlace, inputs []unitInput, tmp agg.Record) bool {
+	st, words := r.st, r.c.covWords
+	covClear(st.covTmp)
+	got := false
+	for _, in := range inputs {
+		if in.kind == inRec {
+			cs := st.contribs[in.slot]
+			if len(cs) == 0 {
+				continue
 			}
-			for _, cr := range recs {
-				dst := st.arena[c.recOff[cr.slot] : c.recOff[cr.slot]+c.recLen[cr.slot]]
-				if st.recSet[cr.slot] {
-					mergeRecInto(c.recFn[cr.slot], c.recIP[cr.slot], dst, cr.rec)
+			rec := agg.Record(st.tmp3[:len(tmp)])
+			for k, cc := range cs {
+				src := st.pay[cc.rec.off : cc.rec.off+cc.rec.n]
+				if k == 0 {
+					copy(rec, src)
 				} else {
-					copy(dst, cr.rec)
-					st.recSet[cr.slot] = true
+					mergeRecInto(fn, ip, rec, src)
 				}
-				covOr(st.recCov(c, cr.slot), cr.cov)
+				covOr(st.covTmp, st.payCov[cc.rec.cov:int(cc.rec.cov)+words])
+			}
+			if !got {
+				got = true
+				copy(tmp, rec)
+			} else {
+				mergeRecInto(fn, ip, tmp, rec)
+			}
+			continue
+		}
+		if !st.rawSet[in.slot] {
+			continue
+		}
+		v := st.raw[in.slot]
+		if !got {
+			got = true
+			if ip != nil {
+				ip.PreAggInto(tmp, in.source, v)
+			} else {
+				copy(tmp, fn.PreAgg(in.source, v))
 			}
 		} else {
-			res.Dropped++
-		}
-		res.Outcomes = append(res.Outcomes, out)
-	}
-
-	// Final per-destination merge and delivery report. finals follow
-	// Dests() order, and each function's source list is ascending, so the
-	// covered/missing splits come out sorted without a per-round sort.
-	for i := range c.finals {
-		fo := &c.finals[i]
-		d := fo.dest
-		rep := &DeliveryReport{Dest: d}
-		res.Reports[d] = rep
-		if down(d) {
-			rep.DestDead = true
-			rep.Starved = true
-			rep.Missing = append([]graph.NodeID(nil), fo.sources...)
-			continue
-		}
-		tmp := st.tmp[:fo.fnLen]
-		got := assembleLossyInto(fo.fn, fo.ip, fo.inputs, st, c, tmp, st.covTmp)
-		for j, s := range fo.sources {
-			if covHasBit(st.covTmp, fo.srcBits[j]) {
-				rep.Covered = append(rep.Covered, s)
+			op := agg.Record(st.tmp2[:len(tmp)])
+			if ip != nil {
+				ip.PreAggInto(op, in.source, v)
+				ip.MergeInto(tmp, op)
 			} else {
-				rep.Missing = append(rep.Missing, s)
+				copy(op, fn.PreAgg(in.source, v))
+				copy(tmp, fn.Merge(tmp, op))
 			}
 		}
-		if !got {
-			rep.Starved = true
-			continue
-		}
-		rep.Fresh = len(rep.Missing) == 0
-		res.Values[d] = fo.fn.Eval(tmp)
+		covSetBit(st.covTmp, in.srcBit)
 	}
-	return res, nil
+	return got
 }

@@ -204,39 +204,39 @@ func (e *Engine) RunConcurrent(ctx context.Context, batch []map[graph.NodeID]flo
 }
 
 // lossyState is the recyclable scratch of the lossy and asynchronous
-// executors: the compiled slot arrays plus dynamic presence flags and
-// per-record coverage bitsets, since under faults slot occupancy is a
-// runtime property.
+// executors. Under faults slot occupancy is a runtime property, so raw
+// slots carry presence flags, and a record slot is the list of its
+// delivered contributions, ascending by planned message index. Payload
+// snapshots live in the per-round pay/payCov arenas and are referenced by
+// offset, so contributions hold no pointers.
 type lossyState struct {
-	raw     []float64
-	rawSet  []bool
-	arena   []float64
-	recSet  []bool
-	cov     []uint64 // nRec consecutive bitsets of covWords words
-	tmp     []float64
-	tmp2    []float64
-	tmp3    []float64 // contribution-fold buffer of the async executor
-	covTmp  []uint64
-	attempt []int32      // per message-edge ARQ attempt sequence
-	edgeOK  []bool       // per message-edge epoch fence (true = epochs match)
-	raws    []carriedRaw // per-message payload snapshot scratch
-	recs    []carriedRec
+	raw      []float64
+	rawSet   []bool
+	contribs [][]contrib // per record slot, ascending by message index
+	pay      []float64   // record payload arena, reset per round
+	payCov   []uint64    // coverage bitsets of pay's records
+	tmp      []float64
+	tmp2     []float64
+	tmp3     []float64 // contribution-fold buffer
+	covTmp   []uint64
+	attempt  []int32      // per message-edge ARQ attempt sequence
+	edgeOK   []bool       // per message-edge epoch fence (true = epochs match)
+	raws     []carriedRaw // payload snapshot scratch
+	recs     []carriedRec
 }
 
 func (p *Program) newLossyState() *lossyState {
 	c := p.prog
 	return &lossyState{
-		raw:     make([]float64, c.nRaw),
-		rawSet:  make([]bool, c.nRaw),
-		arena:   make([]float64, c.arena),
-		recSet:  make([]bool, c.nRec),
-		cov:     make([]uint64, c.nRec*c.covWords),
-		tmp:     make([]float64, c.maxRec),
-		tmp2:    make([]float64, c.maxRec),
-		tmp3:    make([]float64, c.maxRec),
-		covTmp:  make([]uint64, c.covWords),
-		attempt: make([]int32, c.nMsgEdges),
-		edgeOK:  make([]bool, c.nMsgEdges),
+		raw:      make([]float64, c.nRaw),
+		rawSet:   make([]bool, c.nRaw),
+		contribs: make([][]contrib, c.nRec),
+		tmp:      make([]float64, c.maxRec),
+		tmp2:     make([]float64, c.maxRec),
+		tmp3:     make([]float64, c.maxRec),
+		covTmp:   make([]uint64, c.covWords),
+		attempt:  make([]int32, c.nMsgEdges),
+		edgeOK:   make([]bool, c.nMsgEdges),
 	}
 }
 
@@ -245,11 +245,8 @@ func (p *Program) getLossyState() *lossyState {
 	for i := range st.rawSet {
 		st.rawSet[i] = false
 	}
-	for i := range st.recSet {
-		st.recSet[i] = false
-	}
-	for i := range st.cov {
-		st.cov[i] = 0
+	for i := range st.contribs {
+		st.contribs[i] = st.contribs[i][:0]
 	}
 	for i := range st.attempt {
 		st.attempt[i] = 0
@@ -257,6 +254,8 @@ func (p *Program) getLossyState() *lossyState {
 	for i := range st.edgeOK {
 		st.edgeOK[i] = true
 	}
+	st.pay = st.pay[:0]
+	st.payCov = st.payCov[:0]
 	st.raws = st.raws[:0]
 	st.recs = st.recs[:0]
 	return st
@@ -288,62 +287,4 @@ func mergeRecInto(fn agg.Func, ip agg.InPlace, dst, src agg.Record) {
 	} else {
 		copy(dst, fn.Merge(dst, src))
 	}
-}
-
-// recCov returns record slot s's coverage bitset.
-func (st *lossyState) recCov(c *compiled, s int32) []uint64 {
-	return st.cov[int(s)*c.covWords : (int(s)+1)*c.covWords]
-}
-
-// assembleLossyInto replays one compiled operand list under partial
-// delivery: absent operands are skipped, covered sources are accumulated
-// into covTmp, and the merge order over the present operands is exactly
-// the reference executor's — which is what keeps fault-free rounds
-// byte-identical to Run. It reports whether anything was present.
-func assembleLossyInto(fn agg.Func, ip agg.InPlace, inputs []unitInput, st *lossyState, c *compiled, tmp agg.Record, covTmp []uint64) bool {
-	covClear(covTmp)
-	got := false
-	mergeRec := func(rec agg.Record) {
-		if !got {
-			got = true
-			copy(tmp, rec)
-		} else if ip != nil {
-			ip.MergeInto(tmp, rec)
-		} else {
-			copy(tmp, fn.Merge(tmp, rec))
-		}
-	}
-	for _, in := range inputs {
-		if in.kind == inRec {
-			if !st.recSet[in.slot] {
-				continue
-			}
-			mergeRec(st.arena[c.recOff[in.slot] : c.recOff[in.slot]+c.recLen[in.slot]])
-			covOr(covTmp, st.recCov(c, in.slot))
-			continue
-		}
-		if !st.rawSet[in.slot] {
-			continue
-		}
-		v := st.raw[in.slot]
-		if !got {
-			got = true
-			if ip != nil {
-				ip.PreAggInto(tmp, in.source, v)
-			} else {
-				copy(tmp, fn.PreAgg(in.source, v))
-			}
-		} else {
-			op := st.tmp2[:len(tmp)]
-			if ip != nil {
-				ip.PreAggInto(op, in.source, v)
-				ip.MergeInto(tmp, op)
-			} else {
-				copy(op, fn.PreAgg(in.source, v))
-				copy(tmp, fn.Merge(tmp, op))
-			}
-		}
-		covSetBit(covTmp, in.srcBit)
-	}
-	return got
 }
