@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-short race cover bench bench-plan-scale bench-serve figures examples serve fuzz-scenarios fuzz-soak clean
+.PHONY: all check build vet test test-short race cover bench bench-plan-scale bench-serve figures examples serve fuzz-scenarios fuzz-soak lines clean
 
 all: check
 
@@ -74,6 +74,11 @@ examples:
 	$(GO) run ./examples/dynamic
 	$(GO) run ./examples/failover
 	$(GO) run ./examples/motes
+
+# Production Go line count (tests and the separate perfbench module
+# excluded): the figure the code-size goal in ROADMAP.md is tracked by.
+lines:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' | xargs cat | wc -l
 
 clean:
 	$(GO) clean ./...

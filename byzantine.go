@@ -96,6 +96,42 @@ type ExcisionEvent struct {
 	ReadmittedRound int
 }
 
+// byzantineAudit is the byzantine stage's state: its tuned config, the
+// monitored source set (union of the pristine workload's sources,
+// ascending), per-node consecutive suspect and clean counters, the
+// currently excised set, and the excision event log (openExcision indexes
+// the events still awaiting re-admission).
+type byzantineAudit struct {
+	ByzantineConfig
+	monitored    []NodeID
+	suspectRuns  map[NodeID]int
+	cleanRuns    map[NodeID]int
+	excised      map[NodeID]bool
+	excisions    []*ExcisionEvent
+	openExcision map[NodeID]*ExcisionEvent
+}
+
+func newByzantineAudit(cfg ByzantineConfig, specs []Spec) (*byzantineAudit, error) {
+	bz, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	srcSet := make(map[NodeID]bool)
+	for _, sp := range specs {
+		for _, src := range sp.Func.Sources() {
+			srcSet[src] = true
+		}
+	}
+	return &byzantineAudit{
+		ByzantineConfig: bz,
+		monitored:       sortedIDs(srcSet),
+		suspectRuns:     make(map[NodeID]int),
+		cleanRuns:       make(map[NodeID]int),
+		excised:         make(map[NodeID]bool),
+		openExcision:    make(map[NodeID]*ExcisionEvent),
+	}, nil
+}
+
 // observeByzantine runs the base station's outlier audit after a round:
 // collect every monitored source's reported reading, locate the robust
 // center (median) and scale (MAD), flag out-of-gate reporters, excise
@@ -111,15 +147,15 @@ func (s *ResilientSession) observeByzantine(cur map[NodeID]float64, step *Resili
 	if adv == nil {
 		return nil // nothing on this schedule can lie
 	}
-	reports := make(map[NodeID]float64, len(s.monitored))
-	est := make([]float64, 0, len(s.monitored))
-	for _, n := range s.monitored {
+	reports := make(map[NodeID]float64, len(s.byz.monitored))
+	est := make([]float64, 0, len(s.byz.monitored))
+	for _, n := range s.byz.monitored {
 		if s.dead[n] || s.nodeDown(s.round, n) {
 			continue
 		}
 		r := adv.CorruptReading(s.round, n, cur[n])
 		reports[n] = r
-		if !s.excised[n] {
+		if !s.byz.excised[n] {
 			est = append(est, r)
 		}
 	}
@@ -134,26 +170,26 @@ func (s *ResilientSession) observeByzantine(cur map[NodeID]float64, step *Resili
 
 	var toExcise, toReadmit []NodeID
 	residuals := make(map[NodeID]float64)
-	for _, n := range s.monitored {
+	for _, n := range s.byz.monitored {
 		r, ok := reports[n]
 		if !ok {
 			continue
 		}
 		dev := math.Abs(r-center) / scale
 		if dev > s.byz.GateK {
-			s.cleanRuns[n] = 0
-			s.suspectRuns[n]++
+			s.byz.cleanRuns[n] = 0
+			s.byz.suspectRuns[n]++
 			step.Suspects = append(step.Suspects, n)
-			if !s.excised[n] && s.suspectRuns[n] >= s.byz.Window {
+			if !s.byz.excised[n] && s.byz.suspectRuns[n] >= s.byz.Window {
 				toExcise = append(toExcise, n)
 				residuals[n] = dev
 			}
 			continue
 		}
-		s.suspectRuns[n] = 0
-		if s.excised[n] {
-			s.cleanRuns[n]++
-			if s.cleanRuns[n] >= s.byz.CleanRounds {
+		s.byz.suspectRuns[n] = 0
+		if s.byz.excised[n] {
+			s.byz.cleanRuns[n]++
+			if s.byz.cleanRuns[n] >= s.byz.CleanRounds {
 				toReadmit = append(toReadmit, n)
 			}
 		}
@@ -193,9 +229,9 @@ func (s *ResilientSession) excise(n NodeID, residual float64) (*ExcisionEvent, e
 	if err != nil {
 		return nil, err
 	}
-	s.excised[n] = true
-	s.suspectRuns[n] = 0
-	s.cleanRuns[n] = 0
+	s.byz.excised[n] = true
+	s.byz.suspectRuns[n] = 0
+	s.byz.cleanRuns[n] = 0
 	ev := &ExcisionEvent{
 		Node:            n,
 		Round:           s.round,
@@ -204,8 +240,8 @@ func (s *ResilientSession) excise(n NodeID, residual float64) (*ExcisionEvent, e
 		ReplanBytes:     cost.Bytes,
 		ReadmittedRound: -1,
 	}
-	s.excisions = append(s.excisions, ev)
-	s.openExcision[n] = ev
+	s.byz.excisions = append(s.byz.excisions, ev)
+	s.byz.openExcision[n] = ev
 	return ev, nil
 }
 
@@ -214,10 +250,10 @@ func (s *ResilientSession) excise(n NodeID, residual float64) (*ExcisionEvent, e
 // minus the dead and still-excised sets, and the session replans
 // incrementally — the inverse of excise, through the same machinery.
 func (s *ResilientSession) readmit(n NodeID) error {
-	delete(s.excised, n)
+	delete(s.byz.excised, n)
 	specs, err := s.rebuildSpecs()
 	if err != nil {
-		s.excised[n] = true
+		s.byz.excised[n] = true
 		return fmt.Errorf("m2m: cannot readmit node %d: %w", n, err)
 	}
 	base, err := s.lowestAlive(noNode)
@@ -225,13 +261,13 @@ func (s *ResilientSession) readmit(n NodeID) error {
 		_, _, _, err = s.replan(s.net.Graph, specs, s.prices, base)
 	}
 	if err != nil {
-		s.excised[n] = true
+		s.byz.excised[n] = true
 		return err
 	}
-	s.cleanRuns[n] = 0
-	if ev := s.openExcision[n]; ev != nil {
+	s.byz.cleanRuns[n] = 0
+	if ev := s.byz.openExcision[n]; ev != nil {
 		ev.ReadmittedRound = s.round
-		delete(s.openExcision, n)
+		delete(s.byz.openExcision, n)
 	}
 	return nil
 }
@@ -261,12 +297,20 @@ func (s *ResilientSession) rebuildSpecs() ([]Spec, error) {
 
 // ExcisedNodes returns the sources currently excised by the quarantine
 // loop, ascending.
-func (s *ResilientSession) ExcisedNodes() []NodeID { return sortedIDs(s.excised) }
+func (s *ResilientSession) ExcisedNodes() []NodeID {
+	if s.byz == nil {
+		return []NodeID{}
+	}
+	return sortedIDs(s.byz.excised)
+}
 
 // Excisions returns every excision event so far, in order; re-admitted
 // nodes carry their ReadmittedRound.
 func (s *ResilientSession) Excisions() []*ExcisionEvent {
-	return append([]*ExcisionEvent(nil), s.excisions...)
+	if s.byz == nil {
+		return nil
+	}
+	return append([]*ExcisionEvent(nil), s.byz.excisions...)
 }
 
 // median returns the middle order statistic (lower of the two for even

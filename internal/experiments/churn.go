@@ -15,38 +15,6 @@ import (
 	"m2m/internal/wire"
 )
 
-// laggedSchedule overlays an epoch view on a base fault schedule: the
-// listed nodes still run plan epoch 1 while the network is at epoch 2,
-// so every frame they touch is fenced (heard, priced, discarded) — the
-// steady state of a severed side that missed a replan's table diffs.
-type laggedSchedule struct {
-	base    sim.Faults
-	lagging map[graph.NodeID]bool
-}
-
-func (l laggedSchedule) NodeDead(round int, n graph.NodeID) bool {
-	if l.base == nil {
-		return false
-	}
-	return l.base.NodeDead(round, n)
-}
-
-func (l laggedSchedule) Deliver(round int, e routing.Edge, attempt int) bool {
-	if l.base == nil {
-		return true
-	}
-	return l.base.Deliver(round, e, attempt)
-}
-
-func (l laggedSchedule) PlanEpoch() uint32 { return 2 }
-
-func (l laggedSchedule) NodeEpoch(n graph.NodeID) uint32 {
-	if l.lagging[n] {
-		return 1
-	}
-	return 2
-}
-
 // churnSide grows a connected side of about a third of the network that
 // excludes the base station (node 0).
 func churnSide(net *graph.Undirected) ([]graph.NodeID, error) {
@@ -144,7 +112,8 @@ func Churn(cfg Config) (*tablefmt.Table, error) {
 			// Epoch-fence rounds: the cut has healed but the side missed a
 			// replan — its frames are heard and discarded until the table
 			// diffs arrive.
-			fence := laggedSchedule{base: chaos.New(seed).WithUniformLoss(loss), lagging: inSide}
+			eng.SetFence(inSide)
+			fence := chaos.New(seed).WithUniformLoss(loss)
 			fenceJ, fenceDrop := 0.0, 0.0
 			for r := 0; r < cfg.Timesteps; r++ {
 				res, err := eng.RunLossy(r, readings, fence, chaosRetries)

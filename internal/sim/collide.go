@@ -42,11 +42,11 @@ import (
 //     Engine.Run), with backoff ARQ as the recovery path for retries,
 //     which fall outside the frame's guarantees.
 //
-// Known approximation: the oracle gates senders and receivers on the
-// fault schedule's NodeDead at round start, not on mid-round battery
-// brown-outs — those are applied by each executor while replaying (a
-// browned-out sender abandons its remaining oracle attempts, exactly as
-// it abandons ARQ retries today).
+// Known approximation: the oracle gates senders and receivers on their
+// liveness at round start — crashed, or battery already depleted — not
+// on mid-round brown-outs. Those are applied by each executor while
+// replaying (a browned-out sender abandons its remaining oracle attempts,
+// exactly as it abandons ARQ retries).
 
 // TxMode selects the engine's transmission discipline under the
 // collision channel. It has no effect unless the fault schedule enables
@@ -270,11 +270,13 @@ func attemptSalt(mi, try int) int {
 // at 64.
 func backoffWindow(try int) int { return 2 << min(try, 5) }
 
-// collisionPlanFor resolves the round's contention, or returns nil when
-// the fault schedule does not enable collisions. edgeOK is the epoch
-// fence view (nil = all edges current): a fenced edge's frames are heard
-// but never acknowledged, so its sender burns the whole retry budget.
-func (e *Engine) collisionPlanFor(round int, faults Faults, maxRetries int, edgeOK []bool) (*collisionPlan, error) {
+// collisionPlan resolves the round's contention, or returns nil when the
+// fault schedule does not enable collisions. Senders and receivers are
+// gated on round-start liveness (down), and the epoch fence is read from
+// the round's edge flags: a fenced edge's frames are heard but never
+// acknowledged, so its sender burns the whole retry budget.
+func (r *lossyRound) collisionPlan(maxRetries int) (*collisionPlan, error) {
+	e, round, faults := r.e, r.round, r.faults
 	cf, ok := faults.(CollisionFaults)
 	if !ok || !cf.CollisionsEnabled() {
 		return nil, nil
@@ -313,10 +315,8 @@ func (e *Engine) collisionPlanFor(round int, faults Faults, maxRetries int, edge
 		want[mi] = -1
 		waiting[mi] = len(topo.deps[mi])
 		edge := ct.msgs[mi]
-		recvDead[mi] = faults.NodeDead(round, edge.To)
-		if edgeOK != nil {
-			fenced[mi] = !edgeOK[e.prog.msgEdge[mi]]
-		}
+		recvDead[mi] = r.down(edge.To)
+		fenced[mi] = !r.st.edgeOK[e.prog.msgEdge[mi]]
 	}
 	attemptCtr := make([]int, e.prog.nMsgEdges)
 	pending := 0
@@ -326,7 +326,7 @@ func (e *Engine) collisionPlanFor(round int, faults Faults, maxRetries int, edge
 	// silence, zero attempts, exactly like the ARQ executor's gate.
 	var resolve func(mi, s int)
 	ready := func(mi, s int) {
-		if faults.NodeDead(round, ct.msgs[mi].From) {
+		if r.down(ct.msgs[mi].From) {
 			finished[mi] = true
 			resolve(mi, s)
 			return

@@ -375,3 +375,62 @@ func TestCollisionAsyncMatchesLossy(t *testing.T) {
 		}
 	}
 }
+
+// A sender whose battery is already empty when the round starts is as
+// silent as a crashed one, so the collision oracle must not let it
+// compete for slots: over every sender of a 40-node plan, depleting it
+// before round 0 and crashing it at round 0 yield the same collisions,
+// drops, transmissions and energy.
+func TestCollisionOracleGatesDepletedLikeCrashed(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	inst := buildInstance(t, rng, 40, 6, 6, false)
+	p, err := plan.Optimize(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := Compile(p, radio.DefaultModel(), Options{MergeMessages: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	readings := randomReadings(rng, inst.Net.Len())
+	n := inst.Net.Len()
+	run := func(bat *Battery, faults Faults) *LossyResult {
+		t.Helper()
+		res, err := prog.Bind(bat, nil).RunLossy(0, readings, faults, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	seen := make(map[graph.NodeID]bool)
+	senders, collided := 0, 0
+	for _, msg := range prog.messages {
+		from := prog.units[msg[0]].Edge.From
+		if seen[from] || senders == 30 {
+			continue
+		}
+		seen[from] = true
+		senders++
+		roomy := func() *Battery {
+			b, err := NewBattery(n, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+		crashed := run(roomy(), chaos.New(41).WithCollisions(0).Crash(from, 0))
+		bat := roomy()
+		bat.Spend(0, from, 2) // more than the capacity: depleted before the round
+		depleted := run(bat, chaos.New(41).WithCollisions(0))
+		collided += crashed.Collisions
+		if depleted.Collisions != crashed.Collisions || depleted.Dropped != crashed.Dropped ||
+			depleted.Transmissions != crashed.Transmissions || depleted.EnergyJ != crashed.EnergyJ {
+			t.Errorf("sender %d: depleted collisions/dropped/tx/energy %d/%d/%d/%v, crashed %d/%d/%d/%v", from,
+				depleted.Collisions, depleted.Dropped, depleted.Transmissions, depleted.EnergyJ,
+				crashed.Collisions, crashed.Dropped, crashed.Transmissions, crashed.EnergyJ)
+		}
+	}
+	if senders < 30 || collided == 0 {
+		t.Fatalf("fixture too tame: %d senders, %d collisions", senders, collided)
+	}
+}

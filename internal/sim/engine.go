@@ -68,9 +68,10 @@ type Program struct {
 
 // Engine executes one plan: a shared, immutable Program plus the small
 // runtime one session owns — its battery ledger, its adversary, the
-// fault-free round counters both consult, and its transmission discipline
-// and TDMA frame. Engines bound to the same Program never observe each
-// other: everything they write lives here or in per-round scratch.
+// fault-free round counters both consult, its transmission discipline and
+// TDMA frame, and its epoch fence. Engines bound to the same Program never
+// observe each other: everything they write lives here or in per-round
+// scratch.
 type Engine struct {
 	*Program
 
@@ -82,7 +83,19 @@ type Engine struct {
 
 	txMode  TxMode             // transmission discipline under collisions
 	txSched *schedule.Schedule // installed TDMA frame (TxTDMA)
+
+	lagging map[graph.NodeID]bool // epoch fence (SetFence); read, never written
 }
+
+// SetFence installs the epoch fence of the lossy and async executors:
+// lagging holds the nodes still running an older plan epoch's tables. A
+// frame crossing an edge with a lagging endpoint is transmitted and heard
+// — both radios pay — but the receiver discards it instead of merging
+// (counted in EpochDropped), so a node on a stale plan degrades coverage
+// rather than corrupting aggregates. The engine keeps the set by
+// reference and reads it at the start of every round, so its owner may
+// update it between rounds; nil or empty fences nothing.
+func (e *Engine) SetFence(lagging map[graph.NodeID]bool) { e.lagging = lagging }
 
 // Options configures engine construction.
 type Options struct {

@@ -15,35 +15,6 @@ import (
 	"m2m/internal/routing"
 )
 
-// epochFaults is a test schedule with an epoch view: the channel itself is
-// perfect (or delegates to base), but the listed nodes still run an older
-// plan epoch, so every edge they touch is fenced.
-type epochFaults struct {
-	base    Faults
-	epoch   uint32
-	lagging map[graph.NodeID]uint32
-}
-
-func (f epochFaults) NodeDead(round int, n graph.NodeID) bool {
-	if f.base == nil {
-		return false
-	}
-	return f.base.NodeDead(round, n)
-}
-func (f epochFaults) Deliver(round int, e routing.Edge, attempt int) bool {
-	if f.base == nil {
-		return true
-	}
-	return f.base.Deliver(round, e, attempt)
-}
-func (f epochFaults) PlanEpoch() uint32 { return f.epoch }
-func (f epochFaults) NodeEpoch(n graph.NodeID) uint32 {
-	if e, ok := f.lagging[n]; ok {
-		return e
-	}
-	return f.epoch
-}
-
 // A lagging node fences every edge it touches: frames are heard (and
 // priced) but never merged, so the destination starves exactly as if the
 // links were down — except the receiver also pays for what it discarded.
@@ -60,7 +31,8 @@ func TestEpochFenceDropsStaleFrames(t *testing.T) {
 	}
 	readings := map[graph.NodeID]float64{0: 2, 2: 5}
 	const maxRetries = 2
-	fenced, err := eng.RunLossy(0, readings, epochFaults{epoch: 4, lagging: map[graph.NodeID]uint32{1: 3}}, maxRetries)
+	eng.SetFence(map[graph.NodeID]bool{1: true})
+	fenced, err := eng.RunLossy(0, readings, nil, maxRetries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,6 +64,7 @@ func TestEpochFenceDropsStaleFrames(t *testing.T) {
 	// The same topology with those links simply down burns the same
 	// attempts but hears nothing: the fenced run costs strictly more,
 	// because its receivers paid RX for every frame they discarded.
+	eng.SetFence(nil)
 	down, err := eng.RunLossy(0, readings, edgeFaults{down: map[routing.Edge]bool{
 		{From: 0, To: 1}: true, {From: 1, To: 2}: true,
 	}}, maxRetries)
@@ -106,8 +79,8 @@ func TestEpochFenceDropsStaleFrames(t *testing.T) {
 	}
 }
 
-// A schedule whose every node runs the current epoch fences nothing: the
-// round is byte-identical to the nil-faults run.
+// A fence naming no node fences nothing: the round is byte-identical to
+// the unfenced run.
 func TestEpochFenceCurrentEpochNoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	inst := buildInstance(t, rng, 30, 4, 4, false)
@@ -124,7 +97,8 @@ func TestEpochFenceCurrentEpochNoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	current, err := eng.RunLossy(0, readings, epochFaults{epoch: 7}, 2)
+	eng.SetFence(map[graph.NodeID]bool{})
+	current, err := eng.RunLossy(0, readings, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,15 +130,15 @@ func TestEpochFenceAsync(t *testing.T) {
 		t.Fatal(err)
 	}
 	readings := map[graph.NodeID]float64{0: 2, 2: 5}
-	fence := epochFaults{epoch: 4, lagging: map[graph.NodeID]uint32{1: 3}}
-	async, err := eng.RunAsync(0, readings, fence, AsyncConfig{MaxRetries: 2})
+	eng.SetFence(map[graph.NodeID]bool{1: true})
+	async, err := eng.RunAsync(0, readings, nil, AsyncConfig{MaxRetries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if async.EpochDropped == 0 {
 		t.Fatal("async executor merged (or never heard) fenced frames")
 	}
-	sync, err := eng.RunLossy(0, readings, fence, 2)
+	sync, err := eng.RunLossy(0, readings, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,24 +183,24 @@ func TestChaosCrossExecutorDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lagging := map[graph.NodeID]uint32{
-		clean.Outcomes[0].Edge.From:                     3,
-		clean.Outcomes[len(clean.Outcomes)/2].Edge.From: 3,
+	lagging := map[graph.NodeID]bool{
+		clean.Outcomes[0].Edge.From:                     true,
+		clean.Outcomes[len(clean.Outcomes)/2].Edge.From: true,
 	}
 	liar := inst.Specs[0].Func.Sources()[0]
 	for _, tc := range []struct {
 		name   string
+		fence  map[graph.NodeID]bool
 		faults func() Faults
 	}{
-		{"loss+crash", func() Faults { return chaos.New(77).WithUniformLoss(0.25).Crash(11, 2) }},
-		{"collision", func() Faults { return chaos.New(77).WithUniformLoss(0.15).WithCollisions(0.3).Crash(11, 2) }},
-		{"fence", func() Faults {
-			return epochFaults{base: chaos.New(77).WithUniformLoss(0.2), epoch: 4, lagging: lagging}
-		}},
-		{"byzantine", func() Faults {
+		{"loss+crash", nil, func() Faults { return chaos.New(77).WithUniformLoss(0.25).Crash(11, 2) }},
+		{"collision", nil, func() Faults { return chaos.New(77).WithUniformLoss(0.15).WithCollisions(0.3).Crash(11, 2) }},
+		{"fence", lagging, func() Faults { return chaos.New(77).WithUniformLoss(0.2) }},
+		{"byzantine", nil, func() Faults {
 			return chaos.New(77).WithUniformLoss(0.2).WithByzantine(liar, chaos.ByzOffset, 100, 0, chaos.Forever)
 		}},
 	} {
+		eng.SetFence(tc.fence)
 		for r := 0; r < 4; r++ {
 			a, err := eng.RunLossy(r, readings, tc.faults(), maxRetries)
 			if err != nil {
@@ -248,6 +222,8 @@ func TestChaosCrossExecutorDeterminism(t *testing.T) {
 			}
 		}
 	}
+
+	eng.SetFence(nil)
 
 	// The concurrent batch runner shares the compiled program: fault-free
 	// values must be bit-identical to the lossy executor's under a nil

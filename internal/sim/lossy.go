@@ -9,9 +9,13 @@ import (
 	"m2m/internal/routing"
 )
 
-// Faults is the fault schedule the lossy executor queries while a round
-// runs (chaos.Injector implements it). Both methods must be deterministic
-// in their arguments so repeated rounds are reproducible.
+// Faults is the fault schedule the lossy and async executors query while
+// a round runs (chaos.Injector implements it). Both methods must be
+// deterministic in their arguments so repeated rounds are reproducible.
+// A schedule says only what the world does to the network; what the
+// network itself knows — its battery ledger and which nodes still run an
+// older plan epoch (Engine.SetFence) — is engine state, and the executors
+// gate on both themselves.
 type Faults interface {
 	// NodeDead reports whether n has permanently crashed by the given
 	// round. A dead node neither transmits, receives, nor samples.
@@ -26,19 +30,6 @@ type noFaults struct{}
 
 func (noFaults) NodeDead(int, graph.NodeID) bool     { return false }
 func (noFaults) Deliver(int, routing.Edge, int) bool { return true }
-
-// Epochs is the optional plan-epoch view of a fault schedule: sessions
-// that reconfigure in place implement it next to Faults to fence the
-// executors during dissemination. PlanEpoch is the epoch of the plan the
-// engine is executing; NodeEpoch is the epoch of the routing tables
-// installed at n. A frame crossing an edge whose endpoints do not both run
-// PlanEpoch is transmitted and heard — both radios pay — but the receiver
-// discards it instead of merging (counted in EpochDropped), so a node on a
-// stale plan degrades coverage rather than corrupting aggregates.
-type Epochs interface {
-	PlanEpoch() uint32
-	NodeEpoch(n graph.NodeID) uint32
-}
 
 // DeliveryReport describes how well one destination was served by a lossy
 // round: exactly (fresh), over partial source coverage (stale), or not at
@@ -306,20 +297,18 @@ type lossyRound struct {
 	res    *LossyResult
 }
 
-// beginLossy starts a round: it takes pooled scratch, evaluates the epoch
-// fence, resolves the round's contention, samples every live source
-// through the adversary, and initializes res. The fence, the oracle and
-// the adversary read faults itself, so a wrapper an executor puts around
-// the schedule cannot hide them. A successful begin must be paired with
-// end.
+// beginLossy starts a round: it takes pooled scratch, evaluates the
+// engine's epoch fence, resolves the round's contention, samples every
+// live source through the adversary, and initializes res. A successful
+// begin must be paired with end.
 func (e *Engine) beginLossy(r *lossyRound, round int, readings map[graph.NodeID]float64, faults Faults, maxRetries int, res *LossyResult) error {
 	if faults == nil {
 		faults = noFaults{}
 	}
 	c := e.prog
 	*r = lossyRound{e: e, c: c, round: round, faults: faults, bat: e.battery, st: e.getLossyState(), res: res}
-	e.fillEdgeFence(r.st, faults)
-	cp, err := e.collisionPlanFor(round, faults, maxRetries, r.st.edgeOK)
+	e.fillEdgeFence(r.st)
+	cp, err := r.collisionPlan(maxRetries)
 	if err != nil {
 		r.end()
 		return err

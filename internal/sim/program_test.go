@@ -13,12 +13,14 @@ import (
 	"m2m/internal/radio"
 )
 
-// TestSharedProgramIsolation binds two engines to one compiled program —
+// TestSharedProgramIsolation binds three engines to one compiled program —
 // one with an adversary and a roomy battery, one honest with a battery
-// tight enough to brown nodes out and a TDMA frame installed mid-run —
-// and drives them through interleaved RunInto and RunLossy rounds. Every
-// round of each must be bit-identical to an engine that compiled the plan
-// for itself: the runtimes share nothing but the immutable program.
+// tight enough to brown nodes out and a TDMA frame installed mid-run, and
+// one behind an epoch fence — and drives them through interleaved RunInto
+// and RunLossy rounds. Every round of each must be bit-identical to an
+// engine that compiled the plan for itself: the runtimes share nothing
+// but the immutable program, so the unfenced engines never see the
+// fence.
 func TestSharedProgramIsolation(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	n := 40
@@ -40,15 +42,18 @@ func TestSharedProgramIsolation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	fence := map[graph.NodeID]bool{inst.Specs[1].Func.Sources()[0]: true}
 	arms := []struct {
 		name     string
 		adv      Adversary
 		capJ     float64
 		faults   Faults
 		tdmaFrom int // round at which the arm switches to TDMA; -1 never
+		fence    map[graph.NodeID]bool
 	}{
-		{"adversary", liar, 1, liar, -1},
-		{"tight-battery", nil, 0.002, lossy, 6},
+		{"adversary", liar, 1, liar, -1, nil},
+		{"tight-battery", nil, 0.002, lossy, 6, nil},
+		{"fenced", nil, 1, chaos.New(5).WithUniformLoss(0.1), -1, fence},
 	}
 	type pair struct {
 		shared, own       *Engine
@@ -70,10 +75,13 @@ func TestSharedProgramIsolation(t *testing.T) {
 			t.Fatal(err)
 		}
 		shared := prog.Bind(sb, a.adv)
+		shared.SetFence(a.fence)
+		own.SetFence(a.fence)
 		pairs[i] = pair{shared, own, shared.NewRoundState(), own.NewRoundState(), sb, ob}
 	}
 
 	collisions := make([]int, len(arms))
+	epochDropped := make([]int, len(arms))
 	for round := 0; round < 16; round++ {
 		readings := randomReadings(rng, n)
 		for i, a := range arms {
@@ -112,6 +120,7 @@ func TestSharedProgramIsolation(t *testing.T) {
 				t.Fatalf("%s round %d RunLossy: %v", a.name, round, err)
 			}
 			collisions[i] += got.Collisions
+			epochDropped[i] += got.EpochDropped
 		}
 	}
 
@@ -129,6 +138,9 @@ func TestSharedProgramIsolation(t *testing.T) {
 		}
 		if got := pr.shared.TransmitMode(); got != wantMode {
 			t.Fatalf("%s: transmit mode %v, want %v (a neighbor's frame leaked)", a.name, got, wantMode)
+		}
+		if fenced := epochDropped[i] > 0; fenced != (a.fence != nil) {
+			t.Fatalf("%s: %d epoch-dropped frames with fence %v", a.name, epochDropped[i], a.fence)
 		}
 	}
 	if collisions[0] == 0 {

@@ -261,19 +261,17 @@ func (p *Program) getLossyState() *lossyState {
 	return st
 }
 
-// fillEdgeFence evaluates the epoch fence over the interned message edges:
-// an edge is open only when both endpoints run the executing plan's epoch.
-// Schedules that carry no epoch view leave every edge open (the flags were
-// reset true by getLossyState), so the fence costs nothing when unused.
-func (p *Program) fillEdgeFence(st *lossyState, faults Faults) {
-	ep, ok := faults.(Epochs)
-	if !ok {
+// fillEdgeFence evaluates the engine's epoch fence over the interned
+// message edges: an edge is open only when neither endpoint lags. With
+// no lagging node every edge stays open (getLossyState reset the flags
+// true), so the fence costs nothing when unused.
+func (e *Engine) fillEdgeFence(st *lossyState) {
+	if len(e.lagging) == 0 {
 		return
 	}
-	c := p.prog
-	pe := ep.PlanEpoch()
+	c := e.prog
 	for i := 0; i < c.nMsgEdges; i++ {
-		st.edgeOK[i] = ep.NodeEpoch(c.edgeFrom[i]) == pe && ep.NodeEpoch(c.edgeTo[i]) == pe
+		st.edgeOK[i] = !e.lagging[c.edgeFrom[i]] && !e.lagging[c.edgeTo[i]]
 	}
 }
 
