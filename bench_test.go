@@ -304,28 +304,58 @@ func BenchmarkLossyRound(b *testing.B) {
 // raceEnabled is set by race_test.go under the race detector.
 var raceEnabled bool
 
-// TestLossyRoundAllocs caps the allocations of a fault-free lossy round —
-// the path every session round takes — at the count measured on the
-// benchmark fixture: the result, its maps and the reports, with no
-// per-record payload copies. GC is off while measuring so the scratch
-// pool is never emptied.
+// TestLossyRoundAllocs caps the allocations of every layer a round or a
+// replan passes through at the counts measured on its benchmark fixture:
+// the fault-free lossy round (the path every session round takes) and
+// its async twin, a fault-free session Step, and the plan's compile,
+// optimization and incremental reoptimization. GC is off while measuring
+// so scratch pools are never emptied. A change that cuts allocations
+// lowers its cap in the same commit.
 func TestLossyRoundAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a random share of Puts under the race detector")
 	}
-	eng, readings := benchEngine(t)
-	if _, err := eng.RunLossy(0, readings, nil, 3); err != nil {
+	net, inst := evalSetup(t, 0.2)
+	p, err := Optimize(inst)
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := eng.RunLossy(0, readings, nil, 3); err != nil {
-			t.Fatal(err)
-		}
-	})
-	const ceiling = 119
-	if allocs > ceiling {
-		t.Fatalf("fault-free RunLossy allocated %v objects/round, want <= %d", allocs, ceiling)
+	eng, readings := benchEngine(t)
+	runner, err := sim.NewAsyncRunner(eng, sim.AsyncConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cnet, specs, gen := chaosFixture(t, 31)
+	s, err := NewResilientSession(cnet, specs, RouterReversePath, gen, nil, ResilientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		ceiling float64
+		run     func() error
+	}{
+		{"RunLossy", 119, func() error { _, err := eng.RunLossy(0, readings, nil, 3); return err }},
+		{"AsyncRunner.Run", 1761, func() error { _, err := runner.Run(0, readings, nil); return err }},
+		{"Step", 60, func() error { _, err := s.Step(); return err }},
+		{"CompileProgram", 3196, func() error { _, err := CompileProgram(net, p); return err }},
+		{"Optimize", 1651, func() error { _, err := Optimize(inst); return err }},
+		{"Reoptimize", 227, func() error { _, _, err := plan.Reoptimize(p, inst); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.run(); err != nil {
+				t.Fatal(err)
+			}
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			allocs := testing.AllocsPerRun(100, func() {
+				if err := tc.run(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > tc.ceiling {
+				t.Fatalf("%s allocated %v objects, want <= %v", tc.name, allocs, tc.ceiling)
+			}
+		})
 	}
 }
 

@@ -9,7 +9,6 @@
 //	m2mload -chaos slowloris                           # stalled writes
 //	m2mload -chaos disconnect                          # mid-stream hangups
 //	m2mload -verify -verify-max 4                      # local deterministic replay check
-//	m2mload -bench -bench-out BENCH_serve.json         # 1/100/1000-session series
 //	m2mload -sessions 50 -budget-p99-ms 500            # CI latency assertion
 //
 // Every request retries on 429/503 and transport errors with exponential
@@ -58,18 +57,11 @@ func main() {
 		chaosOps  = flag.Int("chaos-ops", 20, "how many chaos operations to issue")
 		verify    = flag.Bool("verify", false, "replay sessions locally and compare value hashes")
 		verifyMax = flag.Int("verify-max", 4, "sessions to verify (replay cost is a full local run each)")
-		bench     = flag.Bool("bench", false, "run the 1/100/1000-session benchmark series")
-		benchOut  = flag.String("bench-out", "BENCH_serve.json", "benchmark output file (with -bench)")
-		levelsCSV = flag.String("levels", "1,100,1000", "session counts for -bench")
 		budgetP99 = flag.Float64("budget-p99-ms", 0, "fail (exit 1) if step p99 latency exceeds this many ms (0 = no assertion)")
 	)
 	flag.Parse()
-	levels, err := parseLevels(*levelsCSV)
-	if err == nil {
-		err = validateFlags(*addr, *sessions, *rounds, *step, *tenants, *nodes,
-			*loss, *timeoutMS, *retries, *chaos, *chaosOps, *verifyMax, *budgetP99)
-	}
-	if err != nil {
+	if err := validateFlags(*addr, *sessions, *rounds, *step, *tenants, *nodes,
+		*loss, *timeoutMS, *retries, *chaos, *chaosOps, *verifyMax, *budgetP99); err != nil {
 		fmt.Fprintf(os.Stderr, "m2mload: %v\n", err)
 		os.Exit(2)
 	}
@@ -79,10 +71,6 @@ func main() {
 		hc:        &http.Client{Timeout: time.Duration(*timeoutMS)*time.Millisecond + 10*time.Second},
 		retries:   *retries,
 		timeoutMS: *timeoutMS,
-	}
-
-	if *bench {
-		os.Exit(runBench(lc, levels, *benchOut, *rounds, *step, *tenants, *nodes, *seed, *loss))
 	}
 
 	cfg := runConfig{
@@ -158,18 +146,6 @@ func validateFlags(addr string, sessions, rounds, step, tenants, nodes int,
 		return fmt.Errorf("-budget-p99-ms %g must not be negative", budgetP99)
 	}
 	return nil
-}
-
-func parseLevels(csv string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(csv, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -levels entry %q", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 // loadClient is the retrying HTTP client: 429/503 and transport errors
@@ -579,71 +555,4 @@ func (r *runResult) print(w io.Writer) {
 	if r.chaosIssued > 0 {
 		fmt.Fprintf(w, "chaos(%s): %d ops, %d unexpected outcomes\n", r.cfg.chaos, r.chaosIssued, r.chaosBad)
 	}
-}
-
-// benchLevel is one row of BENCH_serve.json.
-type benchLevel struct {
-	Sessions     int     `json:"sessions"`
-	Rounds       int     `json:"roundsPerSession"`
-	WallMS       float64 `json:"wallMs"`
-	RoundsPerSec float64 `json:"roundsPerSec"`
-	CreateP50MS  float64 `json:"createP50Ms"`
-	StepP50MS    float64 `json:"stepP50Ms"`
-	StepP95MS    float64 `json:"stepP95Ms"`
-	StepP99MS    float64 `json:"stepP99Ms"`
-	Shed         int64   `json:"shed"`
-	Retried      int64   `json:"retried"`
-	Failures     int     `json:"failures"`
-}
-
-func runBench(lc *loadClient, levels []int, out string, rounds, step, tenants, nodes int, seed int64, loss float64) int {
-	doc := struct {
-		Bench     string       `json:"bench"`
-		Generated string       `json:"generated"`
-		Topology  string       `json:"topology"`
-		Levels    []benchLevel `json:"levels"`
-	}{Bench: "serve", Generated: time.Now().UTC().Format(time.RFC3339), Topology: "gdi"}
-	if nodes > 0 {
-		doc.Topology = fmt.Sprintf("random-%d", nodes)
-	}
-	exit := 0
-	for _, n := range levels {
-		cfg := runConfig{sessions: n, rounds: rounds, step: step, tenants: tenants,
-			nodes: nodes, seed: seed, loss: loss, chaos: "none"}
-		res := runLoad(lc, cfg)
-		res.print(os.Stdout)
-		if res.hardFailures > 0 {
-			exit = 1
-		}
-		doc.Levels = append(doc.Levels, benchLevel{
-			Sessions:     n,
-			Rounds:       rounds,
-			WallMS:       float64(res.wall) / float64(time.Millisecond),
-			RoundsPerSec: float64(res.roundsDone) / res.wall.Seconds(),
-			CreateP50MS:  percentile(res.lat["create"], 50),
-			StepP50MS:    percentile(res.lat["step"], 50),
-			StepP95MS:    percentile(res.lat["step"], 95),
-			StepP99MS:    percentile(res.lat["step"], 99),
-			Shed:         res.shed,
-			Retried:      res.retried,
-			Failures:     res.hardFailures,
-		})
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "m2mload: %v\n", err)
-		return 1
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		fmt.Fprintf(os.Stderr, "m2mload: %v\n", err)
-		return 1
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "m2mload: %v\n", err)
-		return 1
-	}
-	fmt.Printf("wrote %s\n", out)
-	return exit
 }

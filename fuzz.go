@@ -10,6 +10,8 @@ package m2m
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"m2m/internal/chaos"
 	"m2m/internal/workload"
@@ -88,16 +90,26 @@ func NewScenarioRun(sc *Scenario) (*ScenarioRun, error) {
 	if err != nil {
 		return nil, err
 	}
+	kind, err := ParseRouter(sc.Router)
+	if err != nil {
+		return nil, err
+	}
+	return NewScenarioRunOn(sc, net, specs, kind, buildScenarioReadings(sc))
+}
+
+// NewScenarioRunOn builds the injector, ledger and session that sc's
+// fault fields and session knobs describe, on an already-built network,
+// workload, router and reading stream. It checks only Nodes and the
+// fault fields of sc; the shape fields matter only when a battery ledger
+// derives its capacity from Headroom.
+func NewScenarioRunOn(sc *Scenario, net *Network, specs []Spec, kind RouterKind, readings ReadingGenerator) (*ScenarioRun, error) {
+	if sc.Nodes != net.Len() {
+		return nil, fmt.Errorf("m2m: scenario describes %d nodes, network has %d", sc.Nodes, net.Len())
+	}
 	inj, err := sc.Injector()
 	if err != nil {
 		return nil, err
 	}
-	kind, err := scenarioRouter(sc.Router)
-	if err != nil {
-		return nil, err
-	}
-	gen := &recordingGen{inner: buildScenarioReadings(sc)}
-
 	cfg := ResilientConfig{
 		MaxRetries:    sc.MaxRetries,
 		MissThreshold: sc.MissThreshold,
@@ -128,6 +140,7 @@ func NewScenarioRun(sc *Scenario) (*ScenarioRun, error) {
 		cfg.EvacuateHorizonRounds = b.EvacHorizon
 	}
 
+	gen := &recordingGen{inner: readings}
 	sess, err := NewResilientSession(net, specs, kind, gen, inj, cfg)
 	if err != nil {
 		return nil, err
@@ -215,19 +228,13 @@ func scenarioSketchFunc(kind string, sources []NodeID) (Func, error) {
 	}
 }
 
-func scenarioRouter(name string) (RouterKind, error) {
-	switch name {
-	case "reverse":
-		return RouterReversePath, nil
-	case "shared":
-		return RouterSharedTree, nil
-	case "spt":
-		return RouterSourceSPT, nil
-	case "mindeg":
-		return RouterMinDegree, nil
-	default:
-		return 0, fmt.Errorf("m2m: unknown scenario router %q", name)
+// ParseRouter maps a router name — reverse, shared, spt or mindeg, the
+// names a Scenario uses — to its RouterKind.
+func ParseRouter(name string) (RouterKind, error) {
+	if i := slices.Index(chaos.Routers, name); i >= 0 {
+		return RouterKind(i), nil
 	}
+	return 0, fmt.Errorf("m2m: unknown router %q (want %s)", name, strings.Join(chaos.Routers, " | "))
 }
 
 func buildScenarioReadings(sc *Scenario) ReadingGenerator {

@@ -31,6 +31,7 @@ package chaos
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"m2m/internal/graph"
@@ -467,6 +468,19 @@ func GrowSide(g *graph.Undirected, seed graph.NodeID, size int) ([]graph.NodeID,
 	}
 	sort.Slice(side, func(i, j int) bool { return side[i] < side[j] })
 	return side, nil
+}
+
+// BaseFreeSide picks a connected side of the requested size that leaves
+// node 0, the base station, on the main side: the first side GrowSide
+// grows from seeds 1, 2, ... that excludes node 0.
+func BaseFreeSide(g *graph.Undirected, size int) ([]graph.NodeID, error) {
+	for s := 1; s < g.Len(); s++ {
+		side, err := GrowSide(g, graph.NodeID(s), size)
+		if err == nil && !slices.Contains(side, 0) {
+			return side, nil
+		}
+	}
+	return nil, fmt.Errorf("chaos: no connected side of %d nodes excludes node 0", size)
 }
 
 // draw01 hashes (seed, round, edge, attempt) to a uniform float64 in

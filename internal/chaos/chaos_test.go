@@ -3,6 +3,7 @@ package chaos
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"m2m/internal/graph"
@@ -440,5 +441,13 @@ func TestGrowSide(t *testing.T) {
 	}
 	if _, err := GrowSide(g, 0, 0); err == nil {
 		t.Error("zero size accepted")
+	}
+	// From seed 1 a side of 3 is {0, 1, 2}; seed 2 gives the first one
+	// that leaves node 0 out.
+	if side, err := BaseFreeSide(g, 3); err != nil || !slices.Equal(side, want) {
+		t.Errorf("BaseFreeSide = %v, %v; want %v", side, err, want)
+	}
+	if _, err := BaseFreeSide(g, 5); err == nil {
+		t.Error("side that must include node 0 accepted")
 	}
 }

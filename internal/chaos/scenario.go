@@ -38,6 +38,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"m2m/internal/graph"
@@ -628,10 +629,32 @@ func (sc *Scenario) PopulateSchedules(g *graph.Undirected, protected, sources []
 	return sc.Validate()
 }
 
-// Validate checks structural sanity and the composition rules the
-// runtime supports. Populated scenarios (after PopulateSchedules) must
-// pass; a scenario that fails here is a generator or shrinker bug.
+// Routers names the routers a scenario may use, in m2m.RouterKind
+// order; m2m.ParseRouter reads its names from this table.
+var Routers = []string{"reverse", "shared", "spt", "mindeg"}
+
+// Validate checks a complete description: its shape, its faults, and the
+// rules that tie the two together. Populated scenarios (after
+// PopulateSchedules) must pass; a scenario that fails here is a
+// generator or shrinker bug.
 func (sc *Scenario) Validate() error {
+	if err := sc.validateShape(); err != nil {
+		return err
+	}
+	if err := sc.validateFaults(); err != nil {
+		return err
+	}
+	if len(sc.Byzantine) > 0 && (sc.Readings == "pulse" || sc.Readings == "walk") {
+		return fmt.Errorf("chaos: byzantine scenarios require co-moving readings (const | diurnal); honest %s excursions are indistinguishable from lies", sc.Readings)
+	}
+	if b := sc.Battery; b != nil && b.EvacHorizon > 0 && sc.Router != "reverse" {
+		return fmt.Errorf("chaos: evacuation requires the reverse router, scenario has %q", sc.Router)
+	}
+	return nil
+}
+
+// validateShape checks the topology, workload, router and readings.
+func (sc *Scenario) validateShape() error {
 	if sc.Nodes < 4 {
 		return fmt.Errorf("chaos: scenario with %d nodes", sc.Nodes)
 	}
@@ -647,9 +670,7 @@ func (sc *Scenario) Validate() error {
 	default:
 		return fmt.Errorf("chaos: unknown topology %q", sc.Topology)
 	}
-	switch sc.Router {
-	case "reverse", "shared", "spt", "mindeg":
-	default:
+	if !slices.Contains(Routers, sc.Router) {
 		return fmt.Errorf("chaos: unknown router %q", sc.Router)
 	}
 	switch sc.FuncKind {
@@ -670,13 +691,19 @@ func (sc *Scenario) Validate() error {
 	if sc.Dests < 1 || sc.SourcesPerDest < 1 || sc.SourcesPerDest > sc.Nodes-1 {
 		return fmt.Errorf("chaos: workload %d dests × %d sources out of range", sc.Dests, sc.SourcesPerDest)
 	}
-	if sc.Loss < 0 || sc.Loss >= 1 {
+	return nil
+}
+
+// validateFaults checks the fault fields alone: value ranges, node ids
+// against Nodes, and the composition rules the runtime supports. A
+// description that fills only Nodes and its fault fields passes it.
+func (sc *Scenario) validateFaults() error {
+	if !(sc.Loss >= 0 && sc.Loss < 1) {
 		return fmt.Errorf("chaos: loss %v outside [0,1)", sc.Loss)
 	}
 	// Composition rules: the collision channel is synchronous and
 	// excludes the ledger, partitions and lying; the async executor
-	// excludes partitions, the ledger and lying; evacuation needs the
-	// reverse-path router.
+	// excludes partitions, the ledger and lying.
 	if sc.Collide != nil {
 		if sc.Async != nil || sc.Battery != nil || sc.Partition != nil || len(sc.Byzantine) > 0 {
 			return fmt.Errorf("chaos: collision scenarios compose only with loss/outages/crashes/depletions")
@@ -693,15 +720,15 @@ func (sc *Scenario) Validate() error {
 	if len(sc.Byzantine) > 0 && (sc.Battery != nil || sc.Partition != nil) {
 		return fmt.Errorf("chaos: byzantine scenarios exclude the ledger and partitions")
 	}
-	if len(sc.Byzantine) > 0 && (sc.Readings == "pulse" || sc.Readings == "walk") {
-		return fmt.Errorf("chaos: byzantine scenarios require co-moving readings (const | diurnal); honest %s excursions are indistinguishable from lies", sc.Readings)
+	if a := sc.Async; a != nil && !(a.DeadlineMS >= 0) {
+		return fmt.Errorf("chaos: async deadline %v is negative", a.DeadlineMS)
 	}
-	if sc.Battery != nil {
-		if sc.Battery.Headroom <= 0 && sc.Battery.CapacityJ <= 0 {
+	if b := sc.Battery; b != nil {
+		if b.Headroom <= 0 && b.CapacityJ <= 0 {
 			return fmt.Errorf("chaos: battery dimension without headroom or capacity")
 		}
-		if sc.Battery.EvacHorizon > 0 && sc.Router != "reverse" {
-			return fmt.Errorf("chaos: evacuation requires the reverse router, scenario has %q", sc.Router)
+		if b.EvacHorizon < 0 {
+			return fmt.Errorf("chaos: negative evacuation horizon %d", b.EvacHorizon)
 		}
 	}
 	for _, o := range sc.Outages {
@@ -719,8 +746,10 @@ func (sc *Scenario) Validate() error {
 			}
 		}
 	}
+	// A crash or a liar may be node 0, the base station, as on the
+	// command line; the generator never picks it.
 	for _, c := range sc.Crashes {
-		if c.Node <= 0 || c.Node >= sc.Nodes || c.Round < 0 || (c.Revive != 0 && c.Revive <= c.Round) {
+		if c.Node < 0 || c.Node >= sc.Nodes || c.Round < 0 || (c.Revive != 0 && c.Revive <= c.Round) {
 			return fmt.Errorf("chaos: malformed crash %+v", c)
 		}
 	}
@@ -730,7 +759,7 @@ func (sc *Scenario) Validate() error {
 		}
 	}
 	for _, b := range sc.Byzantine {
-		if b.Node <= 0 || b.Node >= sc.Nodes || b.Start < 0 {
+		if b.Node < 0 || b.Node >= sc.Nodes || b.Start < 0 || b.Rounds < 0 {
 			return fmt.Errorf("chaos: malformed byzantine window %+v", b)
 		}
 		if _, err := ParseByzMode(b.Mode); err != nil {
@@ -740,18 +769,19 @@ func (sc *Scenario) Validate() error {
 			return fmt.Errorf("chaos: non-finite byzantine param %v", b.Param)
 		}
 	}
-	if c := sc.Collide; c != nil && (c.Capture < 0 || c.Capture >= 1) {
+	if c := sc.Collide; c != nil && !(c.Capture >= 0 && c.Capture < 1) {
 		return fmt.Errorf("chaos: capture probability %v outside [0,1)", c.Capture)
 	}
 	return nil
 }
 
-// Injector builds the fault injector this scenario describes and
-// validates the composed schedule. The injector's own draws are seeded
-// from FaultSeed, so loss patterns and capture outcomes are as
-// reproducible as the schedule itself.
+// Injector builds the fault injector this scenario's fault fields
+// describe, after checking those fields alone (the shape is the session
+// builder's concern), and validates the composed schedule. The
+// injector's own draws are seeded from FaultSeed, so loss patterns and
+// capture outcomes are as reproducible as the schedule itself.
 func (sc *Scenario) Injector() (*Injector, error) {
-	if err := sc.Validate(); err != nil {
+	if err := sc.validateFaults(); err != nil {
 		return nil, err
 	}
 	in := New(sc.FaultSeed)

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"m2m/internal/graph"
@@ -213,6 +214,36 @@ func TestDecodeScenarioRejectsBadCompositions(t *testing.T) {
 	}
 	if _, err := DecodeScenario([]byte("{")); err == nil {
 		t.Fatal("truncated repro decoded without error")
+	}
+}
+
+// TestFaultOnlyScenario checks that a description carrying only Nodes
+// and fault fields builds its injector, that the fault rules still bind
+// it, and that it is not a complete scenario.
+func TestFaultOnlyScenario(t *testing.T) {
+	sc := &Scenario{Nodes: 10, FaultSeed: 3, Loss: 0.1, Crashes: []CrashDim{{Node: 0, Round: 1, Revive: 4}},
+		Battery: &BatteryDim{CapacityJ: 2}, Partition: &PartitionDim{Side: []int{4, 5}, Start: 1, Rounds: 2}}
+	if _, err := sc.Injector(); err != nil {
+		t.Fatalf("fault-only description rejected: %v", err)
+	}
+	if sc.Validate() == nil {
+		t.Error("description without a shape validated as a scenario")
+	}
+	for name, mut := range map[string]func(*Scenario){
+		"crash outside the network": func(c *Scenario) { c.Crashes[0].Node = 10 },
+		"revive before crash":       func(c *Scenario) { c.Crashes[0].Revive = 1 },
+		"collide with battery":      func(c *Scenario) { c.Collide = &CollideDim{} },
+		"negative deadline":         func(c *Scenario) { c.Battery, c.Partition, c.Async = nil, nil, &AsyncDim{DeadlineMS: -1} },
+		"negative evac horizon":     func(c *Scenario) { c.Battery.EvacHorizon = -1 },
+	} {
+		c := *sc
+		c.Crashes = slices.Clone(sc.Crashes)
+		b := *sc.Battery
+		c.Battery = &b
+		mut(&c)
+		if _, err := c.Injector(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 

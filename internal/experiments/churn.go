@@ -15,29 +15,6 @@ import (
 	"m2m/internal/wire"
 )
 
-// churnSide grows a connected side of about a third of the network that
-// excludes the base station (node 0).
-func churnSide(net *graph.Undirected) ([]graph.NodeID, error) {
-	size := net.Len() / 3
-	for s := 1; s < net.Len(); s++ {
-		side, err := chaos.GrowSide(net, graph.NodeID(s), size)
-		if err != nil {
-			continue
-		}
-		ok := true
-		for _, n := range side {
-			if n == 0 {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return side, nil
-		}
-	}
-	return nil, fmt.Errorf("experiments: no connected side of %d nodes excludes the base", size)
-}
-
 // Churn prices the churn-tolerant runtime's three regimes on the GDI
 // network, across loss rates: quiet rounds (loss only), rounds under a
 // partition severing a third of the network (destinations the cut robs of
@@ -51,7 +28,7 @@ func Churn(cfg Config) (*tablefmt.Table, error) {
 	tbl := tablefmt.New(
 		"Churn — partition outage, epoch-fence overhead, and heal cost vs loss rate",
 		"loss_pct", "quiet_mJ", "cut_mJ", "cut_unfresh_pct", "fence_mJ", "fence_drop", "heal_diff_mJ")
-	side, err := churnSide(net)
+	side, err := chaos.BaseFreeSide(net, net.Len()/3)
 	if err != nil {
 		return nil, err
 	}

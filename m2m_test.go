@@ -157,3 +157,20 @@ func TestFacadeRejectsUnknownRouter(t *testing.T) {
 		t.Error("unknown router accepted")
 	}
 }
+
+// TestParseRouter pins the router-name table to the RouterKind order.
+func TestParseRouter(t *testing.T) {
+	for name, want := range map[string]RouterKind{
+		"reverse": RouterReversePath,
+		"shared":  RouterSharedTree,
+		"spt":     RouterSourceSPT,
+		"mindeg":  RouterMinDegree,
+	} {
+		if got, err := ParseRouter(name); err != nil || got != want {
+			t.Errorf("ParseRouter(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParseRouter("mindegree"); err == nil {
+		t.Error("unknown router name accepted")
+	}
+}

@@ -38,47 +38,9 @@ type DeliveryReport = sim.DeliveryReport
 // LossyResult reports one round executed under a fault schedule.
 type LossyResult = sim.LossyResult
 
-// ExecuteLossy runs one round of p on net under the fault schedule:
-// messages actually drop, stop-and-wait retransmits at most maxRetries
-// times per message, and the result reports exact, partial, and starved
-// destinations. With a nil schedule the round is byte-identical to
-// Execute.
-func ExecuteLossy(p *Plan, net *Network, round int, readings map[NodeID]float64, faults FaultSchedule, maxRetries int) (*LossyResult, error) {
-	eng, err := sim.NewEngine(p, net.Radio, sim.Options{MergeMessages: true})
-	if err != nil {
-		return nil, err
-	}
-	return eng.RunLossy(round, readings, faults, maxRetries)
-}
-
 // AsyncConfig tunes the event-driven asynchronous executor: adaptive
 // retransmission bounds, the round deadline, and the dedup window.
 type AsyncConfig = sim.AsyncConfig
-
-// AsyncResult reports one asynchronous round: the lossy result plus
-// timing, duplication, and deadline telemetry.
-type AsyncResult = sim.AsyncResult
-
-// AsyncFaultSchedule extends a fault schedule with per-attempt latency
-// and duplication draws. FaultInjector implements it once jitter,
-// duplication, or reordering are configured.
-type AsyncFaultSchedule = sim.AsyncFaults
-
-// ExecuteAsync runs one event-driven round of p on net: every
-// transmission takes a per-link latency draw, lost ones are retransmitted
-// under an adaptive per-link RTO, duplicate deliveries are absorbed by
-// the (epoch, seq) dedup window, and destinations close at cfg.DeadlineMS
-// (if set) with their best partial aggregate. With a nil schedule the
-// round is byte-identical to Execute. Schedules that also implement
-// AsyncFaultSchedule contribute latency and duplication; plain ones get
-// zero-latency channels.
-func ExecuteAsync(p *Plan, net *Network, round int, readings map[NodeID]float64, faults FaultSchedule, cfg AsyncConfig) (*AsyncResult, error) {
-	eng, err := sim.NewEngine(p, net.Radio, sim.Options{MergeMessages: true})
-	if err != nil {
-		return nil, err
-	}
-	return eng.RunAsync(round, readings, faults, cfg)
-}
 
 // RecoveryEvent records one permanent-failure recovery performed by a
 // ResilientSession.
