@@ -88,6 +88,10 @@ func TestRun(t *testing.T) {
 		{"-router mindegree", 2, []string{"unknown router"}},
 		{"-min-degree", 2, []string{"flag provided but not defined"}},
 		{"-collide -battery 2", 2, []string{"collision scenarios compose only"}},
+		{"-nodes 30 -sources 4 -battery NaN", 2, []string{"non-finite battery"}},
+		{"-nodes 30 -sources 4 -battery Inf", 2, []string{"non-finite battery"}},
+		{"-jitter NaN", 2, []string{"non-finite async timing"}},
+		{"-dup NaN", 2, []string{"non-finite async timing"}},
 	}
 	for _, tc := range cases {
 		code, out, errOut := runArgs(strings.Fields(tc.args)...)

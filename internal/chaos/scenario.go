@@ -641,7 +641,7 @@ func (sc *Scenario) Validate() error {
 	if err := sc.validateShape(); err != nil {
 		return err
 	}
-	if err := sc.validateFaults(); err != nil {
+	if err := sc.ValidateFaults(); err != nil {
 		return err
 	}
 	if len(sc.Byzantine) > 0 && (sc.Readings == "pulse" || sc.Readings == "walk") {
@@ -694,10 +694,10 @@ func (sc *Scenario) validateShape() error {
 	return nil
 }
 
-// validateFaults checks the fault fields alone: value ranges, node ids
+// ValidateFaults checks the fault fields alone: value ranges, node ids
 // against Nodes, and the composition rules the runtime supports. A
 // description that fills only Nodes and its fault fields passes it.
-func (sc *Scenario) validateFaults() error {
+func (sc *Scenario) ValidateFaults() error {
 	if !(sc.Loss >= 0 && sc.Loss < 1) {
 		return fmt.Errorf("chaos: loss %v outside [0,1)", sc.Loss)
 	}
@@ -720,10 +720,18 @@ func (sc *Scenario) validateFaults() error {
 	if len(sc.Byzantine) > 0 && (sc.Battery != nil || sc.Partition != nil) {
 		return fmt.Errorf("chaos: byzantine scenarios exclude the ledger and partitions")
 	}
-	if a := sc.Async; a != nil && !(a.DeadlineMS >= 0) {
-		return fmt.Errorf("chaos: async deadline %v is negative", a.DeadlineMS)
+	if a := sc.Async; a != nil {
+		if !finite(a.BaseMS, a.JitterMS, a.DupProb, a.ReorderProb, a.ReorderMS) {
+			return fmt.Errorf("chaos: non-finite async timing %+v", *a)
+		}
+		if !(a.DeadlineMS >= 0) {
+			return fmt.Errorf("chaos: async deadline %v is negative", a.DeadlineMS)
+		}
 	}
 	if b := sc.Battery; b != nil {
+		if !finite(b.Headroom, b.CapacityJ) {
+			return fmt.Errorf("chaos: non-finite battery %+v", *b)
+		}
 		if b.Headroom <= 0 && b.CapacityJ <= 0 {
 			return fmt.Errorf("chaos: battery dimension without headroom or capacity")
 		}
@@ -775,14 +783,30 @@ func (sc *Scenario) validateFaults() error {
 	return nil
 }
 
+// finite reports whether every value is neither NaN nor infinite.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // Injector builds the fault injector this scenario's fault fields
 // describe, after checking those fields alone (the shape is the session
 // builder's concern), and validates the composed schedule. The
 // injector's own draws are seeded from FaultSeed, so loss patterns and
-// capture outcomes are as reproducible as the schedule itself.
+// capture outcomes are as reproducible as the schedule itself. A
+// description that arms no fault gets a nil injector: a battery ledger
+// alone is not a fault schedule.
 func (sc *Scenario) Injector() (*Injector, error) {
-	if err := sc.validateFaults(); err != nil {
+	if err := sc.ValidateFaults(); err != nil {
 		return nil, err
+	}
+	if sc.Loss == 0 && sc.Async == nil && len(sc.Outages) == 0 && sc.Partition == nil &&
+		len(sc.Crashes) == 0 && len(sc.Depletions) == 0 && len(sc.Byzantine) == 0 && sc.Collide == nil {
+		return nil, nil
 	}
 	in := New(sc.FaultSeed)
 	if sc.Loss > 0 {

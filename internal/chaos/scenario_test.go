@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bytes"
+	"math"
 	"slices"
 	"testing"
 
@@ -218,8 +219,9 @@ func TestDecodeScenarioRejectsBadCompositions(t *testing.T) {
 }
 
 // TestFaultOnlyScenario checks that a description carrying only Nodes
-// and fault fields builds its injector, that the fault rules still bind
-// it, and that it is not a complete scenario.
+// and fault fields builds its injector, that the fault rules (finite
+// values included) still bind it, that it is not a complete scenario, and
+// that a description arming no fault builds no injector.
 func TestFaultOnlyScenario(t *testing.T) {
 	sc := &Scenario{Nodes: 10, FaultSeed: 3, Loss: 0.1, Crashes: []CrashDim{{Node: 0, Round: 1, Revive: 4}},
 		Battery: &BatteryDim{CapacityJ: 2}, Partition: &PartitionDim{Side: []int{4, 5}, Start: 1, Rounds: 2}}
@@ -229,12 +231,22 @@ func TestFaultOnlyScenario(t *testing.T) {
 	if sc.Validate() == nil {
 		t.Error("description without a shape validated as a scenario")
 	}
+	if in, err := (&Scenario{Nodes: 10, Battery: &BatteryDim{CapacityJ: 2}}).Injector(); in != nil || err != nil {
+		t.Errorf("a description arming no fault built injector %v (%v), want nil", in, err)
+	}
 	for name, mut := range map[string]func(*Scenario){
 		"crash outside the network": func(c *Scenario) { c.Crashes[0].Node = 10 },
 		"revive before crash":       func(c *Scenario) { c.Crashes[0].Revive = 1 },
 		"collide with battery":      func(c *Scenario) { c.Collide = &CollideDim{} },
 		"negative deadline":         func(c *Scenario) { c.Battery, c.Partition, c.Async = nil, nil, &AsyncDim{DeadlineMS: -1} },
 		"negative evac horizon":     func(c *Scenario) { c.Battery.EvacHorizon = -1 },
+		"NaN capacity":              func(c *Scenario) { c.Battery.CapacityJ = math.NaN() },
+		"infinite capacity":         func(c *Scenario) { c.Battery.CapacityJ = math.Inf(1) },
+		"NaN headroom":              func(c *Scenario) { c.Battery.Headroom = math.NaN() },
+		"infinite base latency":     func(c *Scenario) { c.Battery, c.Partition, c.Async = nil, nil, &AsyncDim{BaseMS: math.Inf(1)} },
+		"NaN jitter":                func(c *Scenario) { c.Battery, c.Partition, c.Async = nil, nil, &AsyncDim{JitterMS: math.NaN()} },
+		"NaN duplication":           func(c *Scenario) { c.Battery, c.Partition, c.Async = nil, nil, &AsyncDim{DupProb: math.NaN()} },
+		"infinite reorder delay":    func(c *Scenario) { c.Battery, c.Partition, c.Async = nil, nil, &AsyncDim{ReorderMS: math.Inf(1)} },
 	} {
 		c := *sc
 		c.Crashes = slices.Clone(sc.Crashes)

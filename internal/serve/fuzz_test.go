@@ -13,6 +13,9 @@ func FuzzDecodeCreateSession(f *testing.F) {
 	f.Add([]byte(`{"topology":{"kind":"gdi"},"workload":{"specs":"5 = sum(1, 2)"}}`))
 	f.Add(createBody(1))
 	f.Add([]byte(`{"topology":{"kind":"grid","nx":4,"ny":4,"spacing":40},"workload":{"generate":{"destFraction":0.2,"sourcesPerDest":3,"dispersion":0.5}},"faults":{"loss":0.1,"crashNode":3},"battery":{"capacityJ":5}}`))
+	f.Add([]byte(gdi(`"router":"mindegree"`)))
+	f.Add([]byte(gdi(`"faults":{"seed":5,"loss":0.1,"crashNode":12,"crashRound":2}`)))
+	f.Add([]byte(gdi(`"battery":{"capacityJ":0.05,"evacHorizonRounds":3}`)))
 	f.Add([]byte(`{"topology":{"kind":"random","nodes":-1}}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`[]`))

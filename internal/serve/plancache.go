@@ -126,7 +126,7 @@ func (c *planCache) size() int {
 // buildEntry materializes the shared parts of a create request: network,
 // workload, routing instance, optimal plan.
 func buildEntry(topo *TopologySpec, wl *WorkloadSpec, router string) (*planEntry, error) {
-	kind, err := routerKind(router)
+	kind, err := parseRouter(router)
 	if err != nil {
 		return nil, err
 	}

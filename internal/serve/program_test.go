@@ -6,14 +6,16 @@ import (
 	"testing"
 
 	"m2m"
+	"m2m/internal/chaos"
 )
 
 // TestSharedProgramSessionsIsolated: sessions of one cached plan all run
 // off the entry's single compiled program, yet each owns its runtime.
 // Sessions differing in battery, loss plus a crash (they replan and leave
 // the shared program), Byzantine quarantine and a collision channel that
-// switches them to TDMA step concurrently; each must match, round for
-// round, a twin built with NewResilientSessionWithPlan, which compiles a
+// switches them to TDMA are built as descriptions through the session
+// builder and step concurrently; each must match, round for round, a twin
+// wired by hand with NewResilientSessionWithPlan, which compiles a
 // program of its own. Run under -race this is also the data-race gate of
 // the sharing.
 func TestSharedProgramSessionsIsolated(t *testing.T) {
@@ -47,8 +49,10 @@ func TestSharedProgramSessionsIsolated(t *testing.T) {
 
 	type variant struct {
 		name string
-		// faults and battery build fresh per-session state; both the
-		// shared session and its twin get their own.
+		// desc is the variant as the shared session's description; faults
+		// and battery wire the twin's per-session state by hand. Every
+		// session builds its own.
+		desc      chaos.Scenario
 		faults    func() m2m.FaultSchedule
 		batteryJ  float64
 		byzantine bool
@@ -56,18 +60,27 @@ func TestSharedProgramSessionsIsolated(t *testing.T) {
 	}
 	variants := []variant{
 		{name: "fault-free", exercised: func(st *m2m.ResilientStep) bool { return st.Fresh > 0 }},
-		{name: "battery", batteryJ: 0.05, exercised: func(st *m2m.ResilientStep) bool { return len(st.Depleted) > 0 }},
-		{name: "loss+crash", faults: func() m2m.FaultSchedule {
-			return m2m.NewFaultInjector(5).WithUniformLoss(0.1).Crash(crashed, 3)
-		}, exercised: func(st *m2m.ResilientStep) bool { return len(st.Recoveries) > 0 }},
-		{name: "byzantine", byzantine: true, faults: func() m2m.FaultSchedule {
-			return m2m.NewFaultInjector(6).WithByzantine(liar, m2m.ByzStuck, 5000, 0, m2m.Forever)
-		}, exercised: func(st *m2m.ResilientStep) bool { return len(st.Excisions) > 0 }},
-		{name: "collisions", faults: func() m2m.FaultSchedule {
-			return m2m.NewFaultInjector(13).WithCollisions(0)
-		}, exercised: func(st *m2m.ResilientStep) bool { return st.TDMA }},
+		{name: "battery", desc: chaos.Scenario{Battery: &chaos.BatteryDim{CapacityJ: 0.05}}, batteryJ: 0.05,
+			exercised: func(st *m2m.ResilientStep) bool { return len(st.Depleted) > 0 }},
+		{name: "loss+crash", desc: chaos.Scenario{FaultSeed: 5, Loss: 0.1, Crashes: []chaos.CrashDim{{Node: int(crashed), Round: 3}}},
+			faults: func() m2m.FaultSchedule {
+				return m2m.NewFaultInjector(5).WithUniformLoss(0.1).Crash(crashed, 3)
+			}, exercised: func(st *m2m.ResilientStep) bool { return len(st.Recoveries) > 0 }},
+		{name: "byzantine", desc: chaos.Scenario{FaultSeed: 6, Byzantine: []chaos.ByzDim{{Node: int(liar), Mode: "stuck", Param: 5000}}},
+			byzantine: true, faults: func() m2m.FaultSchedule {
+				return m2m.NewFaultInjector(6).WithByzantine(liar, m2m.ByzStuck, 5000, 0, m2m.Forever)
+			}, exercised: func(st *m2m.ResilientStep) bool { return len(st.Excisions) > 0 }},
+		{name: "collisions", desc: chaos.Scenario{FaultSeed: 13, Collide: &chaos.CollideDim{}},
+			faults: func() m2m.FaultSchedule {
+				return m2m.NewFaultInjector(13).WithCollisions(0)
+			}, exercised: func(st *m2m.ResilientStep) bool { return st.TDMA }},
 	}
 	build := func(v variant, shared bool) (*m2m.ResilientSession, error) {
+		gen := sweepSeedReadings(n, 77)
+		if shared {
+			v.desc.Nodes = n
+			return entry.session(v.desc, prog, gen)
+		}
 		var faults m2m.FaultSchedule
 		if v.faults != nil {
 			faults = v.faults()
@@ -82,10 +95,6 @@ func TestSharedProgramSessionsIsolated(t *testing.T) {
 		}
 		if v.byzantine {
 			cfg.Byzantine = &m2m.ByzantineConfig{}
-		}
-		gen := sweepSeedReadings(n, 77)
-		if shared {
-			return m2m.NewResilientSessionWithProgram(entry.net, entry.sessionSpecs(), entry.kind, entry.inst, prog, gen, faults, cfg)
 		}
 		return m2m.NewResilientSessionWithPlan(entry.net, entry.sessionSpecs(), entry.kind, entry.inst, entry.plan, gen, faults, cfg)
 	}

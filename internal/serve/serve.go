@@ -447,7 +447,7 @@ func (s *Server) buildSession(req *CreateSessionRequest) (stepper, *planEntry, b
 	if err != nil {
 		return nil, nil, false, err
 	}
-	sim, err := newSimulator(entry, prog, req)
+	sim, err := entry.session(req.scenario(), prog, req.Readings.build(entry.net.Len()))
 	if err != nil {
 		return nil, nil, false, err
 	}

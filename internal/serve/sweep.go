@@ -198,26 +198,7 @@ feed:
 }
 
 func (s *Server) runSweepSession(ctx context.Context, entry *planEntry, prog *m2m.Program, v *SweepVariant, n int, seed int64, rounds int) (SweepSeedResult, error) {
-	var faults m2m.FaultSchedule
-	if v.Loss > 0 {
-		inj := m2m.NewFaultInjector(seed)
-		inj.WithUniformLoss(v.Loss)
-		if err := inj.Validate(); err != nil {
-			return SweepSeedResult{}, err
-		}
-		faults = inj
-	}
-	var rcfg m2m.ResilientConfig
-	if v.BatteryJ > 0 {
-		bat, err := m2m.NewBattery(n, v.BatteryJ)
-		if err != nil {
-			return SweepSeedResult{}, err
-		}
-		rcfg.Battery = bat
-	}
-	sess, err := m2m.NewResilientSessionWithProgram(
-		entry.net, entry.sessionSpecs(), entry.kind, entry.inst, prog,
-		sweepSeedReadings(n, seed), faults, rcfg)
+	sess, err := entry.session(v.scenario(n, seed), prog, sweepSeedReadings(n, seed))
 	if err != nil {
 		return SweepSeedResult{}, err
 	}

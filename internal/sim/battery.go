@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"m2m/internal/graph"
@@ -35,8 +36,8 @@ func NewBattery(n int, capacityJ float64) (*Battery, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("battery: node count %d must be positive", n)
 	}
-	if capacityJ <= 0 {
-		return nil, fmt.Errorf("battery: capacity %g J must be positive", capacityJ)
+	if !(capacityJ > 0) || math.IsInf(capacityJ, 1) {
+		return nil, fmt.Errorf("battery: capacity %g J must be positive and finite", capacityJ)
 	}
 	b := &Battery{
 		capacity:  make([]float64, n),
@@ -58,8 +59,8 @@ func (b *Battery) SetCapacity(n graph.NodeID, capacityJ float64) error {
 	if err := b.check(n); err != nil {
 		return err
 	}
-	if capacityJ <= 0 {
-		return fmt.Errorf("battery: capacity %g J for node %d must be positive", capacityJ, n)
+	if !(capacityJ > 0) || math.IsInf(capacityJ, 1) {
+		return fmt.Errorf("battery: capacity %g J for node %d must be positive and finite", capacityJ, n)
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()

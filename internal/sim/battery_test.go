@@ -22,12 +22,19 @@ func TestBatteryLedgerSemantics(t *testing.T) {
 	if _, err := NewBattery(0, 1); err == nil {
 		t.Error("zero-node battery accepted")
 	}
-	if _, err := NewBattery(3, 0); err == nil {
-		t.Error("zero capacity accepted")
+	for _, c := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if _, err := NewBattery(3, c); err == nil {
+			t.Errorf("capacity %v accepted", c)
+		}
 	}
 	b, err := NewBattery(3, 10)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, c := range []float64{0, math.NaN(), math.Inf(1)} {
+		if err := b.SetCapacity(1, c); err == nil {
+			t.Errorf("node capacity %v accepted", c)
+		}
 	}
 	if b.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", b.Len())

@@ -421,26 +421,8 @@ func CompileProgram(net *Network, p *Plan) (*Program, error) {
 	return sim.Compile(p, net.Radio, sim.Options{MergeMessages: true})
 }
 
-// NewResilientSessionWithProgram is NewResilientSessionWithPlan with the
-// compile already done: prog must come from CompileProgram(net, p) for the
-// optimal plan p of (net, specs, kind) with instance inst. The session
-// binds its own runtime to the shared program and never mutates it; a
-// replan compiles a fresh program of its own.
-func NewResilientSessionWithProgram(net *Network, specs []Spec, kind RouterKind, inst *Instance, prog *Program, gen ReadingGenerator, faults FaultSchedule, cfg ResilientConfig) (*ResilientSession, error) {
-	if err := validateSessionInputs(net, kind, gen, cfg); err != nil {
-		return nil, err
-	}
-	if inst == nil || prog == nil {
-		return nil, fmt.Errorf("m2m: nil instance or program")
-	}
-	if prog.Radio != net.Radio {
-		return nil, fmt.Errorf("m2m: program compiled for another radio model")
-	}
-	return newResilientSession(net, specs, kind, inst, prog, gen, faults, cfg)
-}
-
-// validateSessionInputs holds the constructor checks shared by both
-// session entry points, so a cached-plan session rejects exactly what a
+// validateSessionInputs holds the constructor checks shared by every
+// session entry point, so a cached-plan session rejects exactly what a
 // from-scratch one would.
 func validateSessionInputs(net *Network, kind RouterKind, gen ReadingGenerator, cfg ResilientConfig) error {
 	if gen == nil {
